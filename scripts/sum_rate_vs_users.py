@@ -8,6 +8,7 @@ Writes results/sum_rate_vs_users_nt<nt>.csv with mean rates per K.
 
 import pathlib
 
+from misonoma.cli import write_csv
 from misonoma.simulation import SimConfig, aggregate_means, run_trial
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -15,44 +16,27 @@ OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 TRIALS = 200
 K_GRID = (20, 40, 80)
 GAMMA = {2: 2.0, 4: 1.5}
-
-
-def fmt(x: float) -> str:
-    return format(x, ".12e")
+KEYS = (
+    "noma_sum_rate",
+    "noma_strong_rate",
+    "noma_weak_rate",
+    "baseline_sum_rate",
+    "baseline_strong_rate",
+    "baseline_weak_rate",
+)
 
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
     for nt in (2, 4):
-        path = OUT / f"sum_rate_vs_users_nt{nt}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write(
-                "k_users,noma_sum_rate,noma_strong_rate,noma_weak_rate,"
-                "baseline_sum_rate,baseline_strong_rate,baseline_weak_rate\n"
+        rows = []
+        for k in K_GRID:
+            cfg = SimConfig(
+                nt=nt, k_users=k, pt_db=10.0, gamma=GAMMA[nt],
+                trials=TRIALS, seed=1000 + k,
             )
-            for k in K_GRID:
-                cfg = SimConfig(
-                    nt=nt, k_users=k, pt_db=10.0, gamma=GAMMA[nt],
-                    trials=TRIALS, seed=1000 + k,
-                )
-                means = aggregate_means(
-                    [run_trial(cfg, t)[0] for t in range(cfg.trials)]
-                )
-                fh.write(
-                    ",".join(
-                        [str(k)]
-                        + [
-                            fmt(means[key])
-                            for key in (
-                                "noma_sum_rate",
-                                "noma_strong_rate",
-                                "noma_weak_rate",
-                                "baseline_sum_rate",
-                                "baseline_strong_rate",
-                                "baseline_weak_rate",
-                            )
-                        ]
-                    )
-                    + "\n"
-                )
+            means = aggregate_means([run_trial(cfg, t)[0] for t in range(cfg.trials)])
+            rows.append([k] + [means[key] for key in KEYS])
+        path = OUT / f"sum_rate_vs_users_nt{nt}.csv"
+        write_csv(str(path), ["k_users", *KEYS], rows)
         print(f"wrote {path}")

@@ -22,7 +22,9 @@ from .two_user_core import (
     alpha1_star_fixed,
     channel_from_quality,
     derive_params,
+    fixed_coeffs_sq,
     optimize_p1,
+    select_case,
 )
 
 # branch-selection comparisons; the branch formulas are continuous at the
@@ -75,16 +77,6 @@ class SimplePowerResult:
     branch: PowerBranch
 
 
-def _abc_sq(theta: float, lambda1: float, lambda2: float, Gamma: float):
-    """Squared fixed-power coefficients a^2, b^2(theta), c^2(theta)."""
-    a1 = alpha1_star_fixed(theta, Gamma)
-    den = lambda2 * a1 * a1 + 1.0
-    a2_ = lambda1 / (1.0 + Gamma * lambda1)
-    b2_ = lambda2 * theta / den
-    c2_ = lambda2 * (1.0 - theta) / den
-    return a2_, b2_, c2_
-
-
 def gamma2_fixed_vs_theta(
     theta: float, lambda1: float, lambda2: float, Gamma: float
 ) -> float:
@@ -93,28 +85,19 @@ def gamma2_fixed_vs_theta(
         raise ValueError("theta must lie in [0, 1]")
     if not 0.0 <= Gamma <= 1.0:
         raise ValueError("Gamma must lie in [0, 1] at unit user-1 power")
-    a2_, b2_, c2_ = _abc_sq(theta, lambda1, lambda2, Gamma)
-    a_, b_ = math.sqrt(a2_), math.sqrt(b2_)
-    if a_ <= b_:
-        return a2_
-    if b_ == 0.0 or a_ * b_ <= b2_ + c2_:
-        c_ = math.sqrt(c2_)
-        h = math.hypot(c_, a_ - b_)
-        return a2_ * (c_ / h) ** 2 if h > 0.0 else a2_
-    return b2_ + c2_
+    return _fixed_case(theta, lambda1, lambda2, Gamma)[0]
 
 
 def classify_theta_region(
     theta: float, lambda1: float, lambda2: float, Gamma: float
 ) -> ThetaRegion:
     """Which fixed-power case holds at this angle (ties to the lower region)."""
-    a2_, b2_, c2_ = _abc_sq(theta, lambda1, lambda2, Gamma)
-    a_, b_ = math.sqrt(a2_), math.sqrt(b2_)
-    if a_ <= b_:
-        return ThetaRegion.N1
-    if b_ == 0.0 or a_ * b_ <= b2_ + c2_:
-        return ThetaRegion.N2
-    return ThetaRegion.N3
+    return ThetaRegion(_fixed_case(theta, lambda1, lambda2, Gamma)[1].value)
+
+
+def _fixed_case(theta: float, lambda1: float, lambda2: float, Gamma: float):
+    a2_, b2_, c2_ = fixed_coeffs_sq(theta, lambda1, lambda2, Gamma)
+    return select_case(math.sqrt(a2_), math.sqrt(b2_), math.sqrt(c2_), theta)
 
 
 def optimal_theta_region(

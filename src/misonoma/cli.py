@@ -38,11 +38,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    """Header plus rows, LF line endings, floats with 13 significant digits."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _count(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
 
 
 def _sim_config(args) -> SimConfig:
@@ -84,7 +97,7 @@ def cmd_pareto_boundary(args) -> int:
         else:
             r2_fix = math.nan
         rows.append([r1, r2_fix, r2_pow])
-    _write_csv(args.out, ["R1", "R2_fixed", "R2_power"], rows)
+    write_csv(args.out, ["R1", "R2_fixed", "R2_power"], rows)
     return EXIT_OK
 
 
@@ -99,7 +112,7 @@ def cmd_angle_sweep(args) -> int:
             ch.theta, params.lambda1, params.lambda2, params.Gamma, ch.P
         )
         rows.append([float(th), sol.gamma2_star, simple.gamma2])
-    _write_csv(args.out, ["theta", "gamma2_optimal", "gamma2_simple"], rows)
+    write_csv(args.out, ["theta", "gamma2_optimal", "gamma2_simple"], rows)
     return EXIT_OK
 
 
@@ -138,7 +151,7 @@ def cmd_gamma_sweep(args) -> int:
         ]
         for i, g in enumerate(gammas)
     ]
-    _write_csv(
+    write_csv(
         args.out,
         [
             "Gamma",
@@ -178,7 +191,7 @@ def cmd_schedule_sim(args) -> int:
         for r in records
     ]
     rows.append(["mean"] + [means[k] for k in header[1:]])
-    _write_csv(args.out, header, rows)
+    write_csv(args.out, header, rows)
     if args.dump_beams:
         _dump_beams(args.out + ".beams.jsonl", outputs)
     return EXIT_OK
@@ -237,7 +250,7 @@ def cmd_oracle_check(args) -> int:
             ]
         )
     if args.out:
-        _write_csv(
+        write_csv(
             args.out,
             [
                 "instance",
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda2", type=float, default=3.0)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--p-cluster", type=float, default=2.0, help="cluster power P (linear)")
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=_count(2), default=101)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pareto_boundary)
 
@@ -288,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda2", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--p-cluster", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=201)
+    p.add_argument("--points", type=_count(1), default=201)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_angle_sweep)
 
@@ -296,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sim_flags(p)
     p.add_argument("--gamma-min", type=float, default=0.25)
     p.add_argument("--gamma-max", type=float, default=2.0)
-    p.add_argument("--gamma-points", type=int, default=8)
+    p.add_argument("--gamma-points", type=_count(1), default=8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gamma_sweep)
 
@@ -307,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_schedule_sim)
 
     p = sub.add_parser("oracle-check", help="compare the design with the grid oracle")
-    p.add_argument("--instances", type=int, default=50)
+    p.add_argument("--instances", type=_count(1), default=50)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n-p1", type=int, default=512)
     p.add_argument("--n-alpha2", type=int, default=512)

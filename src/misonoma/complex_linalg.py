@@ -29,11 +29,6 @@ def as_cvec(x) -> np.ndarray:
     return v
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hermitian inner product a^H b."""
-    return complex(np.vdot(a, b))
-
-
 @dataclass
 class OrthonormalBasis:
     """Mutually orthonormal vectors spanning a subspace of C^n.

@@ -1,8 +1,11 @@
-"""Golden-section search for 1-D scalar maximization."""
+"""Golden-section search for 1-D maximization: one scalar bracket, or many
+brackets side by side as numpy arrays."""
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -37,3 +40,27 @@ def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-10):
             d = a + _INVPHI * h
             yd = f(d)
     return (c, yc) if yc > yd else (d, yd)
+
+
+def vector_golden_section_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
+    """Elementwise golden-section maximization over per-row brackets.
+
+    f maps an array of points to an array of values of the same shape; each
+    row keeps its own bracket.  Returns (x, f(x)) per row.
+    """
+    a, b = lo.astype(float).copy(), hi.astype(float).copy()
+    h = b - a
+    c = a + _INVPHI2 * h
+    d = a + _INVPHI * h
+    yc, yd = f(c), f(d)
+    for _ in range(iters):
+        take = yc > yd
+        b = np.where(take, d, b)
+        a = np.where(take, a, c)
+        h = b - a
+        c = a + _INVPHI2 * h
+        d = a + _INVPHI * h
+        yc, yd = f(c), f(d)
+    x = np.where(yc > yd, c, d)
+    y = np.maximum(yc, yd)
+    return x, y

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .golden import golden_section_max
+from .golden import golden_section_max, vector_golden_section_max
 from .two_user_core import (
     DerivedParams,
     InfeasibleTargetError,
@@ -81,28 +81,6 @@ def _min_feasible_alpha1(t: np.ndarray, theta: float) -> np.ndarray:
     return np.where(first == 0, 0.0, hi)
 
 
-def _vector_golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = 60):
-    """Elementwise golden-section maximization over per-row brackets."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
-    a, b = lo.astype(float).copy(), hi.astype(float).copy()
-    h = b - a
-    c = a + invphi2 * h
-    d = a + invphi * h
-    yc, yd = f(c), f(d)
-    for _ in range(iters):
-        take = yc > yd
-        b = np.where(take, d, b)
-        a = np.where(take, a, c)
-        h = b - a
-        c = a + invphi2 * h
-        d = a + invphi * h
-        yc, yd = f(c), f(d)
-    x = np.where(yc > yd, c, d)
-    y = np.maximum(yc, yd)
-    return x, y
-
-
 def brute_force_max(
     ch: TwoUserChannel,
     params: DerivedParams,
@@ -150,7 +128,7 @@ def brute_force_max(
     # polish alpha2 per row: min of a line and a concave arc is unimodal
     lo = a2[np.maximum(best_col - 1, 0)]
     hi = a2[np.minimum(best_col + 1, n_alpha2 - 1)]
-    a2_ref, v_ref = _vector_golden_max(rows_value, lo, hi)
+    a2_ref, v_ref = vector_golden_section_max(rows_value, lo, hi)
     keep = grid_vals >= v_ref
     a2_star = np.where(keep, a2[best_col], a2_ref)
     v_star = np.maximum(grid_vals, v_ref)

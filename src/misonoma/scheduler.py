@@ -49,15 +49,12 @@ class UserPool:
     weak: list[User]
 
     def __post_init__(self):
-        ids = [u.uid for u in self.strong] + [u.uid for u in self.weak]
-        if len(set(ids)) != len(ids):
+        self._by_id = {u.uid: u for u in self.strong + self.weak}
+        if len(self._by_id) != len(self.strong) + len(self.weak):
             raise ValueError("user ids must be unique across the pool")
 
     def by_id(self, uid: int) -> User:
-        for u in self.strong + self.weak:
-            if u.uid == uid:
-                return u
-        raise KeyError(uid)
+        return self._by_id[uid]
 
 
 @dataclass

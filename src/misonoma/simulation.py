@@ -41,7 +41,6 @@ class SimConfig:
     trials: int = 200
     seed: int = 12345
     delta: float = 0.3
-    baseline_power_mode: str = "equal_split"
 
     def __post_init__(self):
         if self.k_users < 2 or self.k_users % 2 != 0:
@@ -52,8 +51,6 @@ class SimConfig:
             raise ValueError("variances must be positive")
         if self.nt < 1:
             raise ValueError("nt must be at least 1")
-        if self.baseline_power_mode != "equal_split":
-            raise ValueError("only equal_split baseline power is supported")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 

@@ -241,8 +241,10 @@ class CaseCoefficients:
         self.d = self.b + self.c**2 / self.b if self.b > 0.0 else math.inf
 
 
-def case_coeffs(p1: float, ch: TwoUserChannel, params: DerivedParams) -> CaseCoefficients:
-    """Evaluate the inner-problem coefficients a, b, c (and d) at p1."""
+def _coeffs(
+    p1: float, ch: TwoUserChannel, params: DerivedParams
+) -> tuple[float, float, float]:
+    """Inner-problem coefficients (a, b, c) at p1 as a plain tuple."""
     lam1, lam2, th, G = params.lambda1, params.lambda2, params.theta, params.Gamma
     a1 = alpha1_star(p1, params)
     root = math.sqrt(max(ch.P - p1, 0.0))
@@ -250,7 +252,50 @@ def case_coeffs(p1: float, ch: TwoUserChannel, params: DerivedParams) -> CaseCoe
     a = root * math.sqrt(lam1 / (1.0 + G * lam1))
     b = root * math.sqrt(lam2 * th / den)
     c = root * math.sqrt(lam2 * (1.0 - th) / den)
-    return CaseCoefficients(a=a, b=b, c=c)
+    return a, b, c
+
+
+def case_coeffs(p1: float, ch: TwoUserChannel, params: DerivedParams) -> CaseCoefficients:
+    """Evaluate the inner-problem coefficients a, b, c (and d) at p1."""
+    return CaseCoefficients(*_coeffs(p1, ch, params))
+
+
+def fixed_coeffs_sq(
+    theta: float, lambda1: float, lambda2: float, Gamma: float
+) -> tuple[float, float, float]:
+    """Squared inner-problem coefficients a^2, b^2, c^2 at unit powers
+    p1 = p2 = 1 (requires Gamma <= 1)."""
+    a1 = alpha1_star_fixed(theta, Gamma)
+    den = lambda2 * a1 * a1 + 1.0
+    return (
+        lambda1 / (1.0 + Gamma * lambda1),
+        lambda2 * theta / den,
+        lambda2 * (1.0 - theta) / den,
+    )
+
+
+def _crossing_alpha2(a: float, b: float, c: float) -> float:
+    """alpha2 where user 1's decoding branch meets user 2's own branch."""
+    h = math.hypot(c, a - b)
+    return c / h if h > 0.0 else 1.0
+
+
+def select_case(
+    a: float, b: float, c: float, theta: float
+) -> tuple[float, CaseTag, float]:
+    """Three-case closed form of the inner problem: (gamma2, tag, alpha2*).
+
+    alpha2* = 1 when a <= b; the branch crossing c/sqrt(c^2+(a-b)^2) when
+    b < a <= b + c^2/b; sqrt(theta), the peak of user 2's own branch,
+    otherwise (never when b = 0).  Case boundaries are ties resolved toward
+    the lower case; the value is continuous across them.
+    """
+    if a <= b:
+        return a * a, CaseTag.CASE1, 1.0
+    if b == 0.0 or a <= b + c**2 / b:
+        alpha2 = _crossing_alpha2(a, b, c)
+        return (a * alpha2) ** 2, CaseTag.CASE2, alpha2
+    return b * b + c * c, CaseTag.CASE3, math.sqrt(theta)
 
 
 def classify_case(ch: TwoUserChannel, params: DerivedParams) -> OptRegion:
@@ -278,23 +323,14 @@ def classify_case(ch: TwoUserChannel, params: DerivedParams) -> OptRegion:
 def gamma2_of_p1(
     p1: float, ch: TwoUserChannel, params: DerivedParams
 ) -> tuple[float, CaseTag]:
-    """Best achievable user-2 SINR at user-1 power p1, with its case tag.
-
-    Case boundaries (a = b, a = d) are ties resolved toward the lower case;
-    the value is continuous across them.
-    """
-    cc = case_coeffs(p1, ch, params)
-    if cc.a <= cc.b:
-        return cc.a * cc.a, CaseTag.CASE1
-    if cc.a <= cc.d:
-        h = math.hypot(cc.c, cc.a - cc.b)
-        alpha2 = cc.c / h if h > 0.0 else 1.0
-        return (cc.a * alpha2) ** 2, CaseTag.CASE2
-    return cc.b * cc.b + cc.c * cc.c, CaseTag.CASE3
+    """Best achievable user-2 SINR at user-1 power p1, with its case tag."""
+    gamma2, tag, _ = select_case(*_coeffs(p1, ch, params), params.theta)
+    return gamma2, tag
 
 
 def _gamma2_pointwise_vec(p1: np.ndarray, ch: TwoUserChannel, params: DerivedParams):
-    """Vectorized gamma2_of_p1 values (no tags) over a p1 array."""
+    """select_case's gamma2 over a p1 array: the array form of the rule for
+    the p1 grid scan (numpy costs more than math per scalar evaluation)."""
     lam1, lam2, th, G = params.lambda1, params.lambda2, params.theta, params.Gamma
     p1 = np.asarray(p1, dtype=float)
     ratio = np.minimum(np.divide(G, p1, out=np.zeros_like(p1), where=p1 > 0), 1.0)
@@ -318,29 +354,40 @@ def _gamma2_pointwise_vec(p1: np.ndarray, ch: TwoUserChannel, params: DerivedPar
     return np.where(case1, a2_, np.where(case3, b2_ + c2_, crossing))
 
 
+def _grid_golden_max(f, grid_values, G: float, P: float) -> tuple[float, float]:
+    """argmax/max of f over p1 in [Gamma, P]: grid, bracket, golden section.
+
+    grid_values(grid) gives f on the P1_GRID scan that locates the global
+    bracket; golden-section refines it to P1_XTOL, and the best grid point
+    is kept when the refinement does not beat it.
+    """
+    if P - G <= P1_XTOL:
+        return P, 0.0
+    grid = np.linspace(G, P, P1_GRID)
+    vals = grid_values(grid)
+    i = int(np.argmax(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, P1_GRID - 1)]
+    p1_opt, v_opt = golden_section_max(f, lo, hi, xtol=P1_XTOL)
+    if v_opt < vals[i]:
+        p1_opt, v_opt = float(grid[i]), float(vals[i])
+    return float(p1_opt), float(v_opt)
+
+
 def maximize_gamma2_over_p1(
     ch: TwoUserChannel, params: DerivedParams
 ) -> tuple[float, float]:
     """argmax/max of the user-2 SINR over p1 in [Gamma, P].
 
-    Coarse P1_GRID scan locates the global bracket; golden-section refines
-    it to P1_XTOL.  The scanned curve is the pointwise-optimal SINR, so the
-    returned value is always achievable.
+    The scanned curve is the pointwise-optimal SINR, so the returned value
+    is always achievable.
     """
-    G, P = params.Gamma, ch.P
-    if P - G <= P1_XTOL:
-        return P, 0.0
-    grid = np.linspace(G, P, P1_GRID)
-    vals = _gamma2_pointwise_vec(grid, ch, params)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, P1_GRID - 1)]
-    p1_opt, v_opt = golden_section_max(
-        lambda p: gamma2_of_p1(p, ch, params)[0], lo, hi, xtol=P1_XTOL
+    return _grid_golden_max(
+        lambda p: gamma2_of_p1(p, ch, params)[0],
+        lambda grid: _gamma2_pointwise_vec(grid, ch, params),
+        params.Gamma,
+        ch.P,
     )
-    if v_opt < vals[i]:
-        p1_opt, v_opt = float(grid[i]), float(vals[i])
-    return float(p1_opt), float(v_opt)
 
 
 @dataclass
@@ -439,15 +486,6 @@ def _build_solution(
     )
 
 
-def _alpha2_for_case(cc: CaseCoefficients, tag: CaseTag, theta: float) -> float:
-    if tag is CaseTag.CASE1:
-        return 1.0
-    if tag is CaseTag.CASE2:
-        h = math.hypot(cc.c, cc.a - cc.b)
-        return cc.c / h if h > 0.0 else 1.0
-    return math.sqrt(theta)
-
-
 def optimize_p1(ch: TwoUserChannel, params: DerivedParams) -> BeamSolution:
     """Full power-allocated Pareto-optimal design.
 
@@ -456,9 +494,7 @@ def optimize_p1(ch: TwoUserChannel, params: DerivedParams) -> BeamSolution:
     which coincides with the predicted case's branch at the optimum.
     """
     p1_opt, _ = maximize_gamma2_over_p1(ch, params)
-    gamma2, tag = gamma2_of_p1(p1_opt, ch, params)
-    cc = case_coeffs(p1_opt, ch, params)
-    alpha2 = _alpha2_for_case(cc, tag, params.theta)
+    gamma2, tag, alpha2 = select_case(*_coeffs(p1_opt, ch, params), params.theta)
     return _build_solution(ch, params, p1_opt, ch.P - p1_opt, gamma2, tag, alpha2)
 
 
@@ -498,60 +534,36 @@ def maximize_branch_gamma2(
     Used to cross-check the closed-form case-3 maximizer; the branch formula
     is evaluated everywhere regardless of pointwise case membership.
     """
-    lam2, G = params.lambda2, params.Gamma
-    P = ch.P
+    lam2, P = params.lambda2, ch.P
 
     def branch2(p1: float) -> float:
-        cc = case_coeffs(p1, ch, params)
-        h = math.hypot(cc.c, cc.a - cc.b)
-        alpha2 = cc.c / h if h > 0.0 else 1.0
-        return (cc.a * alpha2) ** 2
+        a, b, c = _coeffs(p1, ch, params)
+        return (a * _crossing_alpha2(a, b, c)) ** 2
 
     def branch3(p1: float) -> float:
         a1 = alpha1_star(p1, params)
         return (P - p1) * lam2 / (lam2 * p1 * a1 * a1 + 1.0)
 
     f = branch2 if region is OptRegion.OPT_IN_P2 else branch3
-    if P - G <= P1_XTOL:
-        return P, 0.0
-    grid = np.linspace(G, P, P1_GRID)
-    vals = np.array([f(p) for p in grid])
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, P1_GRID - 1)]
-    p1_opt, v_opt = golden_section_max(f, lo, hi, xtol=P1_XTOL)
-    if v_opt < vals[i]:
-        p1_opt, v_opt = float(grid[i]), float(vals[i])
-    return float(p1_opt), float(v_opt)
+    return _grid_golden_max(
+        f, lambda grid: np.array([f(p) for p in grid]), params.Gamma, P
+    )
 
 
 def fixed_power_design(ch: TwoUserChannel, params: DerivedParams) -> BeamSolution:
     """Beam-only design at fixed unit powers p1 = p2 = 1.
 
     Requires Gamma <= 1 (unit power caps the reachable user-1 SINR at
-    lambda1).  Three cases: alpha2* = 1 when a <= b; the branch crossing
-    c/sqrt(c^2+(a-b)^2) when b < a <= b + c^2/b; sqrt(theta) otherwise.
+    lambda1).  alpha2* follows select_case on the fixed_coeffs_sq
+    coefficients.
     """
-    lam1, lam2, th, G = params.lambda1, params.lambda2, params.theta, params.Gamma
+    th, G = params.theta, params.Gamma
     if G > 1.0 + 1e-12:
         raise InfeasibleTargetError(
             f"Gamma={G:.6g} > 1 is infeasible at fixed unit user-1 power"
         )
-    G = min(G, 1.0)
-    a1 = alpha1_star_fixed(th, G)
-    den = lam2 * a1 * a1 + 1.0
-    a2_ = lam1 / (1.0 + G * lam1)
-    b2_ = lam2 * th / den
-    c2_ = lam2 * (1.0 - th) / den
-    a_, b_, c_ = math.sqrt(a2_), math.sqrt(b2_), math.sqrt(c2_)
-    if a_ <= b_:
-        tag, gamma2, alpha2 = CaseTag.CASE1, a2_, 1.0
-    elif b_ == 0.0 or a_ * b_ <= b2_ + c2_:
-        h = math.hypot(c_, a_ - b_)
-        alpha2 = c_ / h if h > 0.0 else 1.0
-        tag, gamma2 = CaseTag.CASE2, a2_ * alpha2 * alpha2
-    else:
-        tag, gamma2, alpha2 = CaseTag.CASE3, lam2 / den, math.sqrt(th)
+    a2_, b2_, c2_ = fixed_coeffs_sq(th, params.lambda1, params.lambda2, min(G, 1.0))
+    gamma2, tag, alpha2 = select_case(math.sqrt(a2_), math.sqrt(b2_), math.sqrt(c2_), th)
     return _build_solution(ch, params, 1.0, 1.0, gamma2, tag, alpha2)
 
 

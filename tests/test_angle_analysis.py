@@ -16,6 +16,7 @@ from misonoma.angle_analysis import (
 from misonoma.two_user_core import (
     channel_from_quality,
     derive_params,
+    fixed_power_design,
     gamma2_of_p1,
     optimize_p1,
 )
@@ -56,6 +57,28 @@ class TestClassifyThetaRegion:
         # region index can only change where a coefficient comparison flips
         changes = sum(1 for a, b in zip(regions, regions[1:]) if a is not b)
         assert changes <= 3
+
+    def test_matches_fixed_power_design(self):
+        rng = np.random.default_rng(13)
+        draws = [
+            (rng.uniform(1.0, 100.0), rng.uniform(1e-6, 1.0), rng.uniform(), rng.uniform())
+            for _ in range(40)
+        ]
+        # edges: theta in {0, 1}, Gamma in {0, 1}, lambda2 = 1e-6*lambda1
+        draws += [
+            (10.0, 0.3, 0.0, 0.4),
+            (10.0, 0.3, 1.0, 0.4),
+            (10.0, 0.3, 0.5, 0.0),
+            (10.0, 0.3, 0.5, 1.0),
+            (10.0, 1e-6, 0.5, 0.4),
+        ]
+        for lam1, ratio, th, G in draws:
+            ch = channel_from_quality(lam1, ratio * lam1, th, 2.0)
+            params = derive_params(ch, G * ch.lambda1)
+            sol = fixed_power_design(ch, params)
+            args = (params.theta, params.lambda1, params.lambda2, params.Gamma)
+            assert gamma2_fixed_vs_theta(*args) == sol.gamma2_star
+            assert classify_theta_region(*args).value == sol.case_tag.value
 
 
 class TestOptimalThetaRegion:

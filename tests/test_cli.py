@@ -196,10 +196,19 @@ def test_infeasible_gamma_exit_code(tmp_path):
     assert rc == 3
 
 
-def test_bad_flag_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["schedule-sim", "--nope", "1"])
-    assert exc.value.code == 2
+def test_bad_flag_exit_code(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["schedule-sim", "--nope", "1"],
+        ["pareto-boundary", "--points", "1"],
+        ["angle-sweep", "--points", "0"],
+        ["gamma-sweep", "--gamma-points", "0"],
+        ["oracle-check", "--instances", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2, argv
+    assert not out.exists()
 
 
 def test_oracle_check_runs(tmp_path, capsys):

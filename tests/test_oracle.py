@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from misonoma.golden import golden_section_max, vector_golden_section_max
 from misonoma.oracle import brute_force_max, sample_instance
 from misonoma.two_user_core import (
     channel_from_quality,
@@ -72,3 +73,27 @@ def test_result_point_is_feasible():
         assert params.Gamma - 1e-12 <= res.p1 <= ch.P + 1e-12
         assert 0.0 <= res.alpha2 <= 1.0
         assert 0.0 <= res.alpha1 <= 1.0
+
+
+def test_vector_golden_matches_scalar_golden():
+    # one bracket per row; maxima inside the brackets and at their edges
+    lo = np.array([0.0, -1.0, 0.2, 0.0, 0.0])
+    hi = np.array([1.0, 3.0, 0.9, 1.0, 1.0])
+    peak = np.array([0.3, 2.5, 0.2, 0.0, 1.0])
+    slope = np.array([0.5, 2.0, 10.0, 1e-3, 1e3])
+
+    def unimodal(x, row=slice(None)):
+        return -((x - peak[row]) ** 2)
+
+    def kinked(x, row=slice(None)):
+        # min of a rising line and a concave arc, as in the alpha2 polish
+        return np.minimum(slope[row] * x, np.sqrt(np.clip(1.0 - x * x, 0.0, None)))
+
+    for f in (unimodal, kinked):
+        x_vec, y_vec = vector_golden_section_max(f, lo, hi)
+        for i in range(lo.size):
+            x, y = golden_section_max(
+                lambda t: float(f(t, i)), float(lo[i]), float(hi[i]), xtol=1e-12
+            )
+            assert x_vec[i] == pytest.approx(x, abs=1e-9)
+            assert y_vec[i] == pytest.approx(y, rel=1e-9)

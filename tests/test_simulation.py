@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,17 @@ from misonoma.simulation import (
 )
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         SimConfig(k_users=5)
     with pytest.raises(ValueError):
         SimConfig(trials=0)
     with pytest.raises(ValueError):
         SimConfig(sigma_h2_sq=0.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"baseline_power_mode": "waterfilling"}))
     with pytest.raises(ValueError):
-        SimConfig(baseline_power_mode="waterfilling")
+        SimConfig.from_file(str(path))
 
 
 def test_p_total_db_conversion():

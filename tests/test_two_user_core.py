@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misonoma.oracle import sample_instance
 from misonoma.two_user_core import (
+    P1_GRID,
     CaseTag,
     InfeasibleTargetError,
     OptRegion,
     TwoUserChannel,
+    _gamma2_pointwise_vec,
     achieved_gamma2,
     achieved_user1_sinr,
     alpha1_star,
@@ -184,6 +187,27 @@ class TestGamma2OfP1:
         expect = (ch.P - G) / G / (th + 1.0 / (lam2 * G))
         assert tag is CaseTag.CASE3
         assert val == pytest.approx(expect, rel=1e-12)
+
+    def test_grid_form_matches_scalar(self):
+        rng = np.random.default_rng(11)
+        instances = [sample_instance(rng) for _ in range(40)]
+        # edges: theta in {0, 1}, Gamma in {0, P}, lambda2 = 1e-6*lambda1
+        for lam1, lam2, th, G in (
+            (20.0, 3.0, 0.0, 0.5),
+            (20.0, 3.0, 1.0, 0.5),
+            (20.0, 3.0, 0.5, 0.0),
+            (20.0, 3.0, 0.5, 2.0),
+            (20.0, 2e-5, 0.5, 0.5),
+            (20.0, 2e-5, 1.0, 2.0),
+        ):
+            ch = channel_from_quality(lam1, lam2, th, 2.0)
+            instances.append((ch, derive_params(ch, G * ch.lambda1)))
+        for ch, params in instances:
+            grid = np.linspace(params.Gamma, ch.P, P1_GRID)
+            scalar = [gamma2_of_p1(float(p), ch, params)[0] for p in grid]
+            np.testing.assert_allclose(
+                _gamma2_pointwise_vec(grid, ch, params), scalar, rtol=1e-12, atol=1e-15
+            )
 
 
 def _random_params(rng):
