@@ -18,7 +18,7 @@ import numpy as np
 
 from .angle_analysis import gamma2_simple_power
 from .oracle import brute_force_max, sample_instance
-from .simulation import SimConfig, run_monte_carlo, run_trial
+from .simulation import SimConfig, run_monte_carlo, run_trial_sweep
 from .two_user_core import (
     InfeasibleTargetError,
     channel_from_quality,
@@ -134,13 +134,12 @@ def cmd_gamma_sweep(args) -> int:
     noma_w = [0.0] * n
     base_s = base_w = 0.0
     for t in range(cfg.trials):
-        for i, g in enumerate(gammas):
-            rec, _, _ = run_trial(cfg, t, gamma=float(g))
+        recs = run_trial_sweep(cfg, t, [float(g) for g in gammas])
+        for i, rec in enumerate(recs):
             noma_s[i] += rec.noma_strong_rate
             noma_w[i] += rec.noma_weak_rate
-            if i == 0:
-                base_s += rec.baseline_strong_rate
-                base_w += rec.baseline_weak_rate
+        base_s += recs[0].baseline_strong_rate
+        base_w += recs[0].baseline_weak_rate
     rows = [
         [
             float(g),

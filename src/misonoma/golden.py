@@ -11,6 +11,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
+def golden_steps(h: float, xtol: float) -> int:
+    """Smallest n with h * invphi**n <= xtol: golden_section_max spends a
+    first pair of evaluations and then n - 1 bracket shrinks on a bracket of
+    width h."""
+    return int(math.ceil(math.log(xtol / h) / math.log(_INVPHI)))
+
+
 def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-10):
     """Maximize f on [lo, hi]; returns (x, f(x)) at the best sampled point.
 
@@ -23,7 +30,7 @@ def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-10):
     if h <= xtol:
         x = 0.5 * (a + b)
         return x, f(x)
-    n = int(math.ceil(math.log(xtol / h) / math.log(_INVPHI)))
+    n = golden_steps(h, xtol)
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     yc = f(c)

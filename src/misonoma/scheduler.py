@@ -9,6 +9,14 @@ interference by construction.  Weak users do experience it; candidates are
 scored with an interference estimate that uses already-designed beams for
 earlier clusters and normalized projected strong channels at full cluster
 power as stand-ins for clusters not designed yet.
+
+All weak candidates left for a cluster are scored in one batch
+(score_candidates): their interference estimates, projected channels and
+scalar reductions are array operations over the stacked weak pool, and
+their best weak SINRs come from one row-wise search
+(maximize_gamma2_batch).  Only the winner goes through the scalar design
+(estimate_ici, project_complement, derive_params, optimize_p1), which
+builds its beams.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .two_user_core import (
     InfeasibleTargetError,
     TwoUserChannel,
     derive_params,
+    maximize_gamma2_batch,
     optimize_p1,
 )
 
@@ -165,6 +174,55 @@ def estimate_ici(
     return total
 
 
+def _vdot_rows(w: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """np.vdot(w, h) for every row h of H, written elementwise so that a
+    row's value does not depend on the other rows."""
+    return (w.conj() * H).sum(axis=1)
+
+
+def score_candidates(
+    H: np.ndarray,
+    eps_sq: np.ndarray,
+    h1: np.ndarray,
+    sigma1_sq: float,
+    basis: OrthonormalBasis,
+    designed: list[np.ndarray],
+    pending_w_hat: list[np.ndarray],
+    P: float,
+    Gamma: float,
+) -> np.ndarray:
+    """Best weak SINR of every candidate row of H paired with strong channel
+    h1 in this cluster; -inf marks candidates that would invert the ordering.
+
+    Per row this is what the scalar design computes: the estimate_ici
+    estimate (designed beams, plus pending clusters at full power P), the
+    channel projected off the basis, the reductions lambda2 and theta, and
+    the maximum over p1 of the user-2 SINR at the normalized target that
+    derive_params gives.  Values agree with optimize_p1's gamma2_star to
+    round-off.
+    """
+    sig_hat = eps_sq.copy()  # summed in estimate_ici's order
+    for w in designed:
+        sig_hat += np.abs(_vdot_rows(w, H)) ** 2
+    for w in pending_w_hat:
+        sig_hat += P * np.abs(_vdot_rows(w, H)) ** 2
+    g_eff = H - sum(np.outer(_vdot_rows(b, H), b) for b in basis.vectors)
+    g_norm_sq = (g_eff.real**2 + g_eff.imag**2).sum(axis=1)
+    n1 = float(np.vdot(h1, h1).real)
+    lam1 = n1 / sigma1_sq
+    ok = (g_norm_sq > 0.0) & (g_norm_sq / sig_hat <= lam1)
+    theta = np.abs(_vdot_rows(h1, g_eff[ok])) ** 2 / (n1 * g_norm_sq[ok])
+    scores = np.full(len(H), -np.inf)
+    scores[ok] = maximize_gamma2_batch(
+        lam1,
+        g_norm_sq[ok] / sig_hat[ok],
+        np.clip(theta, 0.0, 1.0),
+        min(Gamma * lam1 / lam1, P),
+        P,
+    )
+    return scores
+
+
 def schedule(
     pool: UserPool, Nt: int, P_T: float, Gamma: float, cfg: SUSConfig
 ) -> SchedulerOutput:
@@ -179,6 +237,8 @@ def schedule(
     if cfg.target_count > Nt:
         raise ValueError("target_count must not exceed Nt")
     sel = sus_select([u.h for u in pool.strong], cfg)
+    if not sel:
+        raise ValueError("selection returned no users")
     Kc = len(sel)
     if len(pool.weak) < Kc:
         raise ValueError(f"weak pool ({len(pool.weak)}) smaller than Kc ({Kc})")
@@ -198,7 +258,10 @@ def schedule(
         h_eff.append(project_complement(sel_users[k].h, basis))
     w_hat = [he / np.linalg.norm(he) for he in h_eff]
 
-    remaining = sorted(pool.weak, key=lambda u: u.uid)
+    weak = sorted(pool.weak, key=lambda u: u.uid)
+    H = np.array([u.h for u in weak])
+    eps = np.array([u.eps_sq for u in weak])
+    left = np.arange(len(weak))  # rows of H not yet paired, in uid order
     W1: list[np.ndarray] = []
     W2: list[np.ndarray] = []
     plans: list[ClusterPlan] = []
@@ -206,19 +269,11 @@ def schedule(
         pending = w_hat[k + 1 :]
         eps1 = sel_users[k].eps_sq  # zero-forced: strong user sees AWGN only
         lam1 = float(np.vdot(h_eff[k], h_eff[k]).real) / eps1
-        best = None
-        for u in remaining:
-            sig_hat = estimate_ici(u.h, u.eps_sq, W1, W2, pending, P)
-            g_eff = project_complement(u.h, bases[k])
-            g_norm_sq = float(np.vdot(g_eff, g_eff).real)
-            if g_norm_sq <= 0.0 or g_norm_sq / sig_hat > lam1:
-                continue  # ordering would invert; not a valid weak pairing
-            ch = TwoUserChannel(h_eff[k], g_eff, eps1, sig_hat, P)
-            params = derive_params(ch, Gamma * lam1)
-            sol = optimize_p1(ch, params)
-            if best is None or sol.gamma2_star > best[2].gamma2_star:
-                best = (u, ch, sol, sig_hat, g_eff)
-        if best is None:
+        scores = score_candidates(
+            H[left], eps[left], h_eff[k], eps1, bases[k], W1 + W2, pending, P, Gamma
+        )
+        j = int(np.argmax(scores))  # the first maximum: ties go to the lowest uid
+        if scores[j] == -np.inf:  # every candidate would invert the ordering
             w1 = math.sqrt(P) * w_hat[k]
             w2 = np.zeros_like(w1)
             plans.append(
@@ -238,7 +293,11 @@ def schedule(
             W1.append(w1)
             W2.append(w2)
             continue
-        u, ch, sol, sig_hat, g_eff = best
+        u = weak[left[j]]
+        sig_hat = estimate_ici(u.h, u.eps_sq, W1, W2, pending, P)
+        g_eff = project_complement(u.h, bases[k])
+        ch = TwoUserChannel(h_eff[k], g_eff, eps1, sig_hat, P)
+        sol = optimize_p1(ch, derive_params(ch, Gamma * lam1))
         plans.append(
             ClusterPlan(
                 strong_id=sel_users[k].uid,
@@ -254,7 +313,7 @@ def schedule(
         )
         W1.append(sol.w1_scaled)
         W2.append(sol.w2_scaled)
-        remaining = [r for r in remaining if r.uid != u.uid]
+        left = np.delete(left, j)
 
     out = SchedulerOutput(clusters=plans, Kc=Kc, P=P)
     rates = dict(realized_rates(out, pool))

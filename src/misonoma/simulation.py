@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -118,6 +118,17 @@ def generate_channels(cfg: SimConfig, rng: np.random.Generator) -> UserPool:
     return UserPool(strong=strong, weak=weak)
 
 
+def _noma_rates(out: SchedulerOutput) -> dict[str, float]:
+    """The NOMA fields of a TrialRecord: summed realized rates."""
+    strong_rate = sum(r1 for r1, _ in out.realized_rates)
+    weak_rate = sum(r2 for _, r2 in out.realized_rates)
+    return {
+        "noma_sum_rate": strong_rate + weak_rate,
+        "noma_strong_rate": strong_rate,
+        "noma_weak_rate": weak_rate,
+    }
+
+
 def run_trial(
     cfg: SimConfig, trial_id: int, gamma: float | None = None
 ) -> tuple[TrialRecord, SchedulerOutput, UserPool]:
@@ -126,19 +137,29 @@ def run_trial(
     pool = generate_channels(cfg, rng)
     sus = SUSConfig(target_count=cfg.nt, delta=cfg.delta)
     out = schedule(pool, cfg.nt, cfg.p_total, cfg.gamma if gamma is None else gamma, sus)
-    strong_rate = sum(r1 for r1, _ in out.realized_rates)
-    weak_rate = sum(r2 for _, r2 in out.realized_rates)
     s_strong, s_weak, combined = baseline_sus_zf(pool, cfg.nt, cfg.p_total, sus)
     rec = TrialRecord(
         trial_id=trial_id,
-        noma_sum_rate=strong_rate + weak_rate,
-        noma_strong_rate=strong_rate,
-        noma_weak_rate=weak_rate,
+        **_noma_rates(out),
         baseline_sum_rate=combined,
         baseline_strong_rate=0.5 * s_strong,
         baseline_weak_rate=0.5 * s_weak,
     )
     return rec, out, pool
+
+
+def run_trial_sweep(cfg: SimConfig, trial_id: int, gammas: list[float]) -> list[TrialRecord]:
+    """run_trial(cfg, trial_id, gamma=g)[0] for each g in gammas.
+
+    The channels are drawn and the ZF baseline computed once, by run_trial
+    at the first target; each further target only reschedules that pool.
+    """
+    rec, _, pool = run_trial(cfg, trial_id, gamma=gammas[0])
+    sus = SUSConfig(target_count=cfg.nt, delta=cfg.delta)
+    return [rec] + [
+        replace(rec, **_noma_rates(schedule(pool, cfg.nt, cfg.p_total, g, sus)))
+        for g in gammas[1:]
+    ]
 
 
 def run_monte_carlo(

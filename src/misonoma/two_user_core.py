@@ -30,13 +30,17 @@ from enum import Enum
 import numpy as np
 
 from .complex_linalg import angle_theta, as_cvec
-from .golden import golden_section_max
+from .golden import golden_section_max, golden_steps, vector_golden_section_max
 
 # Grid density for the outer p1 search; golden-section then refines the best
 # bracket to P1_XTOL.  The grid guards against multiple local maxima, which
 # are not ruled out analytically.
 P1_GRID = 512
 P1_XTOL = 1e-10
+
+# Instances per block of maximize_gamma2_batch's grid scan: the scan holds
+# a few (BATCH_ROWS, P1_GRID) arrays at a time, not one per instance.
+BATCH_ROWS = 16
 
 # Below this relative norm a parallel/orthogonal direction is treated as
 # degenerate (aligned or orthogonal channels).
@@ -328,10 +332,11 @@ def gamma2_of_p1(
     return gamma2, tag
 
 
-def _gamma2_pointwise_vec(p1: np.ndarray, ch: TwoUserChannel, params: DerivedParams):
-    """select_case's gamma2 over a p1 array: the array form of the rule for
-    the p1 grid scan (numpy costs more than math per scalar evaluation)."""
-    lam1, lam2, th, G = params.lambda1, params.lambda2, params.theta, params.Gamma
+def _gamma2_pointwise_vec(p1, lam1, lam2, th, G, P):
+    """select_case's gamma2 on arrays: the array form of the rule, for the p1
+    grid scan and the batched candidate search (numpy costs more than math
+    per scalar evaluation).  The reductions lambda1, lambda2, theta, Gamma
+    and P are scalars or arrays that broadcast against p1."""
     p1 = np.asarray(p1, dtype=float)
     ratio = np.minimum(np.divide(G, p1, out=np.zeros_like(p1), where=p1 > 0), 1.0)
     a1 = np.where(
@@ -339,7 +344,7 @@ def _gamma2_pointwise_vec(p1: np.ndarray, ch: TwoUserChannel, params: DerivedPar
         0.0,
         np.sqrt(th * ratio) - np.sqrt((1.0 - th) * (1.0 - ratio)),
     )
-    rem = np.maximum(ch.P - p1, 0.0)
+    rem = np.maximum(P - p1, 0.0)
     den = lam2 * p1 * a1 * a1 + 1.0
     a2_ = rem * lam1 / (1.0 + G * lam1)  # a^2
     b2_ = rem * lam2 * th / den
@@ -382,12 +387,50 @@ def maximize_gamma2_over_p1(
     The scanned curve is the pointwise-optimal SINR, so the returned value
     is always achievable.
     """
+    lam1, lam2, th, G = params.lambda1, params.lambda2, params.theta, params.Gamma
     return _grid_golden_max(
         lambda p: gamma2_of_p1(p, ch, params)[0],
-        lambda grid: _gamma2_pointwise_vec(grid, ch, params),
-        params.Gamma,
+        lambda grid: _gamma2_pointwise_vec(grid, lam1, lam2, th, G, ch.P),
+        G,
         ch.P,
     )
+
+
+def maximize_gamma2_batch(
+    lam1: float, lam2: np.ndarray, theta: np.ndarray, Gamma: float, P: float
+) -> np.ndarray:
+    """max of the user-2 SINR over p1 in [Gamma, P] for many instances that
+    share lambda1, Gamma and P; lam2 and theta hold one entry per instance.
+
+    Row by row this is maximize_gamma2_over_p1's search on arrays: the same
+    P1_GRID scan (BATCH_ROWS rows at a time), the same bracket around each
+    row's best grid point, as many golden-section shrinks as the scalar
+    search makes, and the best grid value kept where the refinement does
+    not beat it.  The values agree with the scalar search to round-off.
+    """
+    if P - Gamma <= P1_XTOL:
+        return np.zeros(lam2.shape)
+    grid = np.linspace(Gamma, P, P1_GRID)
+    best = np.empty(lam2.shape)
+    i = np.empty(lam2.shape, dtype=np.intp)
+    for s in range(0, lam2.size, BATCH_ROWS):
+        rows = slice(s, s + BATCH_ROWS)
+        vals = _gamma2_pointwise_vec(
+            grid, lam1, lam2[rows, None], theta[rows, None], Gamma, P
+        )
+        i[rows] = np.argmax(vals, axis=1)
+        best[rows] = vals.max(axis=1)
+    lo = grid[np.maximum(i - 1, 0)]
+    hi = grid[np.minimum(i + 1, P1_GRID - 1)]
+    # an interior bracket spans two grid steps
+    steps = golden_steps(2.0 * (P - Gamma) / (P1_GRID - 1), P1_XTOL)
+    _, refined = vector_golden_section_max(
+        lambda p: _gamma2_pointwise_vec(p, lam1, lam2, theta, Gamma, P),
+        lo,
+        hi,
+        iters=max(steps - 1, 0),
+    )
+    return np.maximum(refined, best)
 
 
 @dataclass

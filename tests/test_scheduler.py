@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from misonoma.complex_linalg import OrthonormalBasis, gram_schmidt, project_complement
 from misonoma.scheduler import (
+    ClusterPlan,
+    SchedulerOutput,
     SUSConfig,
     User,
     UserPool,
@@ -11,8 +14,10 @@ from misonoma.scheduler import (
     estimate_ici,
     realized_rates,
     schedule,
+    score_candidates,
     sus_select,
 )
+from misonoma.simulation import SimConfig, generate_channels
 from misonoma.two_user_core import (
     InfeasibleTargetError,
     TwoUserChannel,
@@ -30,6 +35,66 @@ def _pool(rng, nt, n_strong, n_weak, var_s=1.0, var_w=0.01):
     strong = [User(i, _cplx(rng, nt, var_s), 1.0) for i in range(n_strong)]
     weak = [User(n_strong + i, _cplx(rng, nt, var_w), 1.0) for i in range(n_weak)]
     return UserPool(strong=strong, weak=weak)
+
+
+def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
+    """The per-candidate scheduler, rebuilt from public functions: every
+    remaining weak candidate gets the full scalar design and the strictly
+    best gamma2_star wins.  Each cluster's skipped uids are returned next to
+    the uids that score_candidates marks -inf in the same state."""
+    sel_users = [pool.strong[i] for i in sus_select([u.h for u in pool.strong], cfg)]
+    Kc = len(sel_users)
+    P = P_T / Kc
+    bases, h_eff = [], []
+    for k in range(Kc):
+        others = [sel_users[j].h for j in range(Kc) if j != k]
+        bases.append(gram_schmidt(others) if others else OrthonormalBasis(vectors=[]))
+        h_eff.append(project_complement(sel_users[k].h, bases[k]))
+    w_hat = [he / np.linalg.norm(he) for he in h_eff]
+    remaining = sorted(pool.weak, key=lambda u: u.uid)
+    W1, W2, plans, skips = [], [], [], []
+    for k in range(Kc):
+        pending = w_hat[k + 1 :]
+        eps1 = sel_users[k].eps_sq
+        lam1 = float(np.vdot(h_eff[k], h_eff[k]).real) / eps1
+        best, skipped = None, set()
+        for u in remaining:
+            sig_hat = estimate_ici(u.h, u.eps_sq, W1, W2, pending, P)
+            g_eff = project_complement(u.h, bases[k])
+            g_norm_sq = float(np.vdot(g_eff, g_eff).real)
+            if g_norm_sq <= 0.0 or g_norm_sq / sig_hat > lam1:
+                skipped.add(u.uid)
+                continue
+            ch = TwoUserChannel(h_eff[k], g_eff, eps1, sig_hat, P)
+            sol = optimize_p1(ch, derive_params(ch, Gamma * lam1))
+            if best is None or sol.gamma2_star > best[1].gamma2_star:
+                best = (u, sol, sig_hat, g_eff)
+        scores = score_candidates(
+            np.array([u.h for u in remaining]),
+            np.array([u.eps_sq for u in remaining]),
+            h_eff[k],
+            eps1,
+            bases[k],
+            W1 + W2,
+            pending,
+            P,
+            Gamma,
+        )
+        skips.append((skipped, {u.uid for u, s in zip(remaining, scores) if s == -np.inf}))
+        if best is None:
+            w1 = math.sqrt(P) * w_hat[k]
+            w2, weak_id, g_eff, sig_hat, sol = np.zeros_like(w1), None, None, None, None
+        else:
+            u, sol, sig_hat, g_eff = best
+            w1, w2, weak_id = sol.w1_scaled, sol.w2_scaled, u.uid
+            remaining = [r for r in remaining if r.uid != u.uid]
+        plan = ClusterPlan(
+            sel_users[k].uid, weak_id, h_eff[k], g_eff, eps1, sig_hat, sol, w1, w2, best is None
+        )
+        plans.append(plan)
+        W1.append(plan.w1_tilde)
+        W2.append(plan.w2_tilde)
+    return SchedulerOutput(clusters=plans, Kc=Kc, P=P), skips
 
 
 class TestSusSelect:
@@ -226,6 +291,87 @@ class TestSchedule:
         strong = [User(0, [1.0, 0.0], 1.0), User(1, [0.0, 1.0], 1.0)]
         weak = [User(2, [0.05, 0.05], 1.0)]
         with pytest.raises(ValueError):
+            schedule(UserPool(strong, weak), 2, 10.0, 0.5, SUSConfig(2, 0.9))
+
+    @pytest.mark.parametrize(
+        "nt, k_users, pt_db, seeds, weak_vars, covers",
+        [
+            (2, 40, 10.0, range(100), (0.01, 0.3, 1.0), {"skip"}),
+            (4, 200, 20.0, range(10), (0.01,), set()),
+            # tiny pools of equal-variance users, where clusters fall back
+            (2, 4, 10.0, range(40), (1.0,), {"skip", "single_user"}),
+        ],
+    )
+    def test_batched_scoring_matches_scalar_loop(
+        self, nt, k_users, pt_db, seeds, weak_vars, covers
+    ):
+        # Gamma = P_T/Nt is the cluster power P when all Nt clusters form,
+        # where every candidate scores 0 and the first in uid order must win
+        seen = set()
+        for seed in seeds:
+            cfg = SimConfig(
+                nt=nt,
+                k_users=k_users,
+                pt_db=pt_db,
+                sigma_h2_sq=weak_vars[seed % len(weak_vars)],
+                seed=seed,
+            )
+            Gamma = cfg.p_total / nt * (0.0, 0.1, 0.3, 0.6, 1.0)[seed % 5]
+            pool = generate_channels(cfg, np.random.default_rng(seed))
+            sus = SUSConfig(nt, cfg.delta)
+            out = schedule(pool, nt, cfg.p_total, Gamma, sus)
+            ref, skips = _scalar_schedule(pool, nt, cfg.p_total, Gamma, sus)
+            assert [(p.strong_id, p.weak_id) for p in out.clusters] == [
+                (p.strong_id, p.weak_id) for p in ref.clusters
+            ]
+            for scalar_skipped, batch_skipped in skips:
+                assert batch_skipped == scalar_skipped
+                seen |= {"skip"} if scalar_skipped else set()
+            for got, want in zip(out.clusters, ref.clusters):
+                assert got.single_user == want.single_user
+                assert got.w1_tilde.tobytes() == want.w1_tilde.tobytes()
+                assert got.w2_tilde.tobytes() == want.w2_tilde.tobytes()
+                assert got.sigma_hat_u_sq == want.sigma_hat_u_sq
+                seen |= {"single_user"} if want.single_user else set()
+            ref_rates = dict(realized_rates(ref, pool))
+            assert out.realized_rates == [
+                (ref_rates[p.strong_id], ref_rates.get(p.weak_id, 0.0)) for p in ref.clusters
+            ]
+        assert covers <= seen
+
+    def test_tie_goes_to_lowest_uid(self):
+        # identical weak channels score identically; the lower uid is listed
+        # second in the pool and must still win
+        g = np.array([0.1 + 0.05j, -0.08j])
+        pool = UserPool(
+            strong=[User(0, [1.0, 0.3j], 1.0)],
+            weak=[User(7, g, 1.0), User(3, g, 1.0), User(5, 0.5 * g, 1.0)],
+        )
+        out = schedule(pool, 2, 10.0, 0.5, SUSConfig(1, 0.5))
+        assert out.clusters[0].weak_id == 3
+        ref, _ = _scalar_schedule(pool, 2, 10.0, 0.5, SUSConfig(1, 0.5))
+        assert ref.clusters[0].weak_id == 3
+
+    def test_single_user_fallback(self):
+        # every weak candidate is stronger than the strong user: no valid pair
+        h = np.array([1.0 + 0.5j, 0.2])
+        pool = UserPool(
+            strong=[User(0, h, 2.0)],
+            weak=[User(1, [3.0, 1.0j], 1.0), User(2, [0.0, 2.0], 1.0), User(3, 2 * h, 2.0)],
+        )
+        P = 10.0
+        out = schedule(pool, 2, P, 0.5, SUSConfig(1, 0.5))
+        plan = out.clusters[0]
+        assert plan.single_user and plan.weak_id is None and plan.solution is None
+        assert not np.any(plan.w2_tilde)
+        np.testing.assert_array_equal(plan.w1_tilde, math.sqrt(P) * (h / np.linalg.norm(h)))
+        lam1 = float(np.vdot(h, h).real) / 2.0
+        assert out.realized_rates[0] == (pytest.approx(math.log2(1.0 + P * lam1), rel=1e-12), 0.0)
+
+    def test_no_strong_user_selected_rejected(self):
+        strong = [User(0, [0.0, 0.0], 1.0), User(1, [0.0, 0.0], 1.0)]
+        weak = [User(2, [0.05, 0.05], 1.0), User(3, [0.01, 0.02], 1.0)]
+        with pytest.raises(ValueError, match="selection returned no users"):
             schedule(UserPool(strong, weak), 2, 10.0, 0.5, SUSConfig(2, 0.9))
 
     def test_realized_rates_roundtrip(self):

@@ -25,6 +25,8 @@ from misonoma.two_user_core import (
     fixed_power_design,
     gamma2_of_p1,
     maximize_branch_gamma2,
+    maximize_gamma2_batch,
+    maximize_gamma2_over_p1,
     optimize_p1,
     pareto_boundary,
 )
@@ -202,12 +204,53 @@ class TestGamma2OfP1:
         ):
             ch = channel_from_quality(lam1, lam2, th, 2.0)
             instances.append((ch, derive_params(ch, G * ch.lambda1)))
+        grids, scalars = [], []
         for ch, params in instances:
             grid = np.linspace(params.Gamma, ch.P, P1_GRID)
             scalar = [gamma2_of_p1(float(p), ch, params)[0] for p in grid]
+            lam1, lam2, th, G = params.lambda1, params.lambda2, params.theta, params.Gamma
             np.testing.assert_allclose(
-                _gamma2_pointwise_vec(grid, ch, params), scalar, rtol=1e-12, atol=1e-15
+                _gamma2_pointwise_vec(grid, lam1, lam2, th, G, ch.P),
+                scalar,
+                rtol=1e-12,
+                atol=1e-15,
             )
+            grids.append(grid)
+            scalars.append(scalar)
+        # the batched form: every reduction an (m, 1) column, one row per instance
+        cols = [
+            np.array([[getattr(params, name)] for _, params in instances])
+            for name in ("lambda1", "lambda2", "theta", "Gamma")
+        ]
+        P = np.array([[ch.P] for ch, _ in instances])
+        np.testing.assert_allclose(
+            _gamma2_pointwise_vec(np.array(grids), *cols, P),
+            np.array(scalars),
+            rtol=1e-12,
+            atol=1e-15,
+        )
+
+    def test_batch_max_matches_scalar_search(self):
+        """maximize_gamma2_batch against maximize_gamma2_over_p1, one call per
+        shared (lambda1, Gamma, P) with edges theta in {0, 1}, Gamma in {0, P}
+        and lambda2 = 1e-6*lambda1 among the rows."""
+        rng = np.random.default_rng(17)
+        for lam1, P, g in ((20.0, 2.0, 0.25), (5.0, 10.0, 0.0), (50.0, 4.0, 1.0), (1.0, 0.5, 0.9)):
+            lam2 = np.concatenate(
+                [lam1 * rng.uniform(1e-6, 1.0, 30), [1e-6 * lam1, 1e-6 * lam1, lam1, 0.5 * lam1]]
+            )
+            theta = np.concatenate([rng.uniform(0.0, 1.0, 30), [0.0, 1.0, 0.0, 1.0]])
+            params = [
+                derive_params(channel_from_quality(lam1, l2, th, P), g * P * lam1)
+                for l2, th in zip(lam2, theta)
+            ]
+            G = params[0].Gamma
+            batch = maximize_gamma2_batch(lam1, lam2, theta, G, P)
+            scalar = [
+                maximize_gamma2_over_p1(channel_from_quality(lam1, l2, th, P), prm)[1]
+                for l2, th, prm in zip(lam2, theta, params)
+            ]
+            np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-15)
 
 
 def _random_params(rng):
