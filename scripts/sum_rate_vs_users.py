@@ -9,21 +9,13 @@ Writes results/sum_rate_vs_users_nt<nt>.csv with mean rates per K.
 import pathlib
 
 from misonoma.cli import write_csv
-from misonoma.simulation import SimConfig, aggregate_means, run_trial
+from misonoma.simulation import RATE_FIELDS, SimConfig, run_monte_carlo
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 TRIALS = 200
 K_GRID = (20, 40, 80)
 GAMMA = {2: 2.0, 4: 1.5}
-KEYS = (
-    "noma_sum_rate",
-    "noma_strong_rate",
-    "noma_weak_rate",
-    "baseline_sum_rate",
-    "baseline_strong_rate",
-    "baseline_weak_rate",
-)
 
 
 if __name__ == "__main__":
@@ -35,8 +27,8 @@ if __name__ == "__main__":
                 nt=nt, k_users=k, pt_db=10.0, gamma=GAMMA[nt],
                 trials=TRIALS, seed=1000 + k,
             )
-            means = aggregate_means([run_trial(cfg, t)[0] for t in range(cfg.trials)])
-            rows.append([k] + [means[key] for key in KEYS])
+            _, means, _ = run_monte_carlo(cfg)
+            rows.append([k] + [means[key] for key in RATE_FIELDS])
         path = OUT / f"sum_rate_vs_users_nt{nt}.csv"
-        write_csv(str(path), ["k_users", *KEYS], rows)
+        write_csv(str(path), ["k_users", *RATE_FIELDS], rows)
         print(f"wrote {path}")

@@ -13,12 +13,19 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
 from .angle_analysis import gamma2_simple_power
 from .oracle import brute_force_max, sample_instance
-from .simulation import SimConfig, run_monte_carlo, run_trial_sweep
+from .simulation import (
+    RATE_FIELDS,
+    SimConfig,
+    aggregate_means,
+    run_monte_carlo,
+    run_trial_sweep,
+)
 from .two_user_core import (
     InfeasibleTargetError,
     channel_from_quality,
@@ -58,23 +65,22 @@ def _count(minimum: int):
     return count
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _sim_config(args) -> SimConfig:
-    overrides = dict(
-        nt=args.nt,
-        k_users=args.k,
-        pt_db=args.pt_db,
-        gamma=args.gamma,
-        trials=args.trials,
-        seed=args.seed,
-        delta=args.delta,
-    )
+    """The config file (if any) under the flags that were given; each sim
+    flag's dest is the SimConfig field it sets."""
+    flags = {f.name: getattr(args, f.name, None) for f in fields(SimConfig)}
+    flags = {k: v for k, v in flags.items() if v is not None}
     if args.config:
-        return SimConfig.from_file(args.config, **overrides)
-    defaults = SimConfig()
-    merged = {
-        k: (v if v is not None else getattr(defaults, k)) for k, v in overrides.items()
-    }
-    return SimConfig(**merged)
+        return SimConfig.from_file(args.config, **flags)
+    return SimConfig(**flags)
 
 
 def cmd_pareto_boundary(args) -> int:
@@ -116,6 +122,15 @@ def cmd_angle_sweep(args) -> int:
     return EXIT_OK
 
 
+# gamma-sweep CSV column -> the TrialRecord field whose mean it holds
+_SWEEP_COLUMNS = {
+    "strong_rate_noma": "noma_strong_rate",
+    "weak_rate_noma": "noma_weak_rate",
+    "strong_rate_baseline": "baseline_strong_rate",
+    "weak_rate_baseline": "baseline_weak_rate",
+}
+
+
 def cmd_gamma_sweep(args) -> int:
     """Mean group rates versus the strong-user target level Gamma.
 
@@ -129,38 +144,13 @@ def cmd_gamma_sweep(args) -> int:
             f"gamma-max {args.gamma_max:.6g} can exceed the per-cluster power "
             f"P_T/Nt = {cfg.p_total / cfg.nt:.6g}"
         )
-    n = len(gammas)
-    noma_s = [0.0] * n
-    noma_w = [0.0] * n
-    base_s = base_w = 0.0
-    for t in range(cfg.trials):
-        recs = run_trial_sweep(cfg, t, [float(g) for g in gammas])
-        for i, rec in enumerate(recs):
-            noma_s[i] += rec.noma_strong_rate
-            noma_w[i] += rec.noma_weak_rate
-        base_s += recs[0].baseline_strong_rate
-        base_w += recs[0].baseline_weak_rate
-    rows = [
-        [
-            float(g),
-            noma_s[i] / cfg.trials,
-            noma_w[i] / cfg.trials,
-            base_s / cfg.trials,
-            base_w / cfg.trials,
-        ]
-        for i, g in enumerate(gammas)
-    ]
-    write_csv(
-        args.out,
-        [
-            "Gamma",
-            "strong_rate_noma",
-            "weak_rate_noma",
-            "strong_rate_baseline",
-            "weak_rate_baseline",
-        ],
-        rows,
-    )
+    grid = [float(g) for g in gammas]
+    per_trial = [run_trial_sweep(cfg, t, grid) for t in range(cfg.trials)]
+    rows = []
+    for g, records in zip(grid, zip(*per_trial)):
+        means = aggregate_means(list(records))
+        rows.append([g] + [means[k] for k in _SWEEP_COLUMNS.values()])
+    write_csv(args.out, ["Gamma", *_SWEEP_COLUMNS], rows)
     return EXIT_OK
 
 
@@ -168,29 +158,9 @@ def cmd_schedule_sim(args) -> int:
     """Monte Carlo scheduling run: per-trial records plus a mean summary."""
     cfg = _sim_config(args)
     records, means, outputs = run_monte_carlo(cfg, keep_outputs=args.dump_beams)
-    header = [
-        "trial_id",
-        "noma_sum_rate",
-        "noma_strong_rate",
-        "noma_weak_rate",
-        "baseline_sum_rate",
-        "baseline_strong_rate",
-        "baseline_weak_rate",
-    ]
-    rows = [
-        [
-            r.trial_id,
-            r.noma_sum_rate,
-            r.noma_strong_rate,
-            r.noma_weak_rate,
-            r.baseline_sum_rate,
-            r.baseline_strong_rate,
-            r.baseline_weak_rate,
-        ]
-        for r in records
-    ]
-    rows.append(["mean"] + [means[k] for k in header[1:]])
-    write_csv(args.out, header, rows)
+    rows = [list(astuple(r)) for r in records]
+    rows.append(["mean"] + [means[k] for k in RATE_FIELDS])
+    write_csv(args.out, ["trial_id", *RATE_FIELDS], rows)
     if args.dump_beams:
         _dump_beams(args.out + ".beams.jsonl", outputs)
     return EXIT_OK
@@ -271,12 +241,12 @@ def cmd_oracle_check(args) -> int:
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat JSON config file (flags override it)")
     p.add_argument("--nt", type=int, default=None, help="transmit antennas")
-    p.add_argument("--k", type=int, default=None, help="total user count (even)")
-    p.add_argument("--pt-db", type=float, default=None, help="total power in dB")
-    p.add_argument("--gamma", type=float, default=None, help="normalized strong-user target")
+    p.add_argument("--k", dest="k_users", metavar="K", type=int, help="total user count (even)")
+    p.add_argument("--pt-db", type=_finite, default=None, help="total power in dB")
+    p.add_argument("--gamma", type=_finite, default=None, help="normalized strong-user target")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None, help="semi-orthogonality parameter")
+    p.add_argument("--delta", type=_finite, default=None, help="semi-orthogonality parameter")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,27 +257,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pareto-boundary", help="rate-region boundary sweep")
-    p.add_argument("--lambda1", type=float, default=20.0)
-    p.add_argument("--lambda2", type=float, default=3.0)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--p-cluster", type=float, default=2.0, help="cluster power P (linear)")
+    p.add_argument("--lambda1", type=_finite, default=20.0)
+    p.add_argument("--lambda2", type=_finite, default=3.0)
+    p.add_argument("--theta", type=_finite, default=0.5)
+    p.add_argument("--p-cluster", type=_finite, default=2.0, help="cluster power P (linear)")
     p.add_argument("--points", type=_count(2), default=101)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_pareto_boundary)
 
     p = sub.add_parser("angle-sweep", help="SINR versus channel angle")
-    p.add_argument("--lambda1", type=float, default=10.0)
-    p.add_argument("--lambda2", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--p-cluster", type=float, default=10.0)
+    p.add_argument("--lambda1", type=_finite, default=10.0)
+    p.add_argument("--lambda2", type=_finite, default=1.0)
+    p.add_argument("--gamma", type=_finite, default=2.0)
+    p.add_argument("--p-cluster", type=_finite, default=10.0)
     p.add_argument("--points", type=_count(1), default=201)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_angle_sweep)
 
     p = sub.add_parser("gamma-sweep", help="group rates versus the target level")
     _add_sim_flags(p)
-    p.add_argument("--gamma-min", type=float, default=0.25)
-    p.add_argument("--gamma-max", type=float, default=2.0)
+    p.add_argument("--gamma-min", type=_finite, default=0.25)
+    p.add_argument("--gamma-max", type=_finite, default=2.0)
     p.add_argument("--gamma-points", type=_count(1), default=8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gamma_sweep)

@@ -2,10 +2,11 @@
 zero-forcing across clusters, interference-aware weak-user pairing with the
 Pareto-optimal per-cluster design, and realized-rate evaluation.
 
-Strong users are picked greedily for near-orthogonal channels; every
-cluster's beams are then designed in the orthogonal complement of the other
-clusters' strong channels, so strong users see no inter-cluster
-interference by construction.  Weak users do experience it; candidates are
+Strong users are picked greedily for near-orthogonal channels (zf_select,
+the SUS+ZF step that the ZF baseline shares); every cluster's beams are
+then designed in the orthogonal complement of the other clusters' strong
+channels, so strong users see no inter-cluster interference by
+construction.  Weak users do experience it; candidates are
 scored with an interference estimate that uses already-designed beams for
 earlier clusters and normalized projected strong channels at full cluster
 power as stand-ins for clusters not designed yet.
@@ -223,6 +224,24 @@ def score_candidates(
     return scores
 
 
+def zf_select(
+    users: list[User], cfg: SUSConfig
+) -> tuple[list[User], list[OrthonormalBasis], list[np.ndarray]]:
+    """The SUS+ZF step shared by the scheduler and the baseline.
+
+    Selects users with sus_select and returns them in selection order with,
+    for each, the orthonormal basis of the other selected channels and its
+    own channel projected off that basis (its zero-forced channel).
+    """
+    if not users:
+        raise ValueError("empty user pool")
+    sel = [users[i] for i in sus_select([u.h for u in users], cfg)]
+    if not sel:
+        raise ValueError("selection returned no users")
+    bases = [gram_schmidt([v.h for v in sel[:k] + sel[k + 1 :]]) for k in range(len(sel))]
+    return sel, bases, [project_complement(u.h, b) for u, b in zip(sel, bases)]
+
+
 def schedule(
     pool: UserPool, Nt: int, P_T: float, Gamma: float, cfg: SUSConfig
 ) -> SchedulerOutput:
@@ -236,10 +255,8 @@ def schedule(
         raise ValueError("both user pools must be nonempty")
     if cfg.target_count > Nt:
         raise ValueError("target_count must not exceed Nt")
-    sel = sus_select([u.h for u in pool.strong], cfg)
-    if not sel:
-        raise ValueError("selection returned no users")
-    Kc = len(sel)
+    sel_users, bases, h_eff = zf_select(pool.strong, cfg)
+    Kc = len(sel_users)
     if len(pool.weak) < Kc:
         raise ValueError(f"weak pool ({len(pool.weak)}) smaller than Kc ({Kc})")
     P = P_T / Kc
@@ -247,15 +264,6 @@ def schedule(
         raise InfeasibleTargetError(
             f"Gamma={Gamma:.6g} outside [0, P_T/Kc={P:.6g}]"
         )
-    sel_users = [pool.strong[i] for i in sel]
-
-    bases: list[OrthonormalBasis] = []
-    h_eff: list[np.ndarray] = []
-    for k in range(Kc):
-        others = [sel_users[j].h for j in range(Kc) if j != k]
-        basis = gram_schmidt(others) if others else OrthonormalBasis(vectors=[])
-        bases.append(basis)
-        h_eff.append(project_complement(sel_users[k].h, basis))
     w_hat = [he / np.linalg.norm(he) for he in h_eff]
 
     weak = sorted(pool.weak, key=lambda u: u.uid)
@@ -274,55 +282,39 @@ def schedule(
         )
         j = int(np.argmax(scores))  # the first maximum: ties go to the lowest uid
         if scores[j] == -np.inf:  # every candidate would invert the ordering
+            weak_id = g_eff = sig_hat = sol = None
             w1 = math.sqrt(P) * w_hat[k]
             w2 = np.zeros_like(w1)
-            plans.append(
-                ClusterPlan(
-                    strong_id=sel_users[k].uid,
-                    weak_id=None,
-                    h1_eff=h_eff[k],
-                    h2_eff=None,
-                    sigma1_sq=eps1,
-                    sigma_hat_u_sq=None,
-                    solution=None,
-                    w1_tilde=w1,
-                    w2_tilde=w2,
-                    single_user=True,
-                )
-            )
-            W1.append(w1)
-            W2.append(w2)
-            continue
-        u = weak[left[j]]
-        sig_hat = estimate_ici(u.h, u.eps_sq, W1, W2, pending, P)
-        g_eff = project_complement(u.h, bases[k])
-        ch = TwoUserChannel(h_eff[k], g_eff, eps1, sig_hat, P)
-        sol = optimize_p1(ch, derive_params(ch, Gamma * lam1))
+        else:
+            u = weak[left[j]]
+            left = np.delete(left, j)
+            weak_id = u.uid
+            sig_hat = estimate_ici(u.h, u.eps_sq, W1, W2, pending, P)
+            g_eff = project_complement(u.h, bases[k])
+            ch = TwoUserChannel(h_eff[k], g_eff, eps1, sig_hat, P)
+            sol = optimize_p1(ch, derive_params(ch, Gamma * lam1))
+            w1, w2 = sol.w1_scaled, sol.w2_scaled
         plans.append(
             ClusterPlan(
                 strong_id=sel_users[k].uid,
-                weak_id=u.uid,
+                weak_id=weak_id,
                 h1_eff=h_eff[k],
                 h2_eff=g_eff,
                 sigma1_sq=eps1,
                 sigma_hat_u_sq=sig_hat,
                 solution=sol,
-                w1_tilde=sol.w1_scaled,
-                w2_tilde=sol.w2_scaled,
+                w1_tilde=w1,
+                w2_tilde=w2,
+                single_user=weak_id is None,
             )
         )
-        W1.append(sol.w1_scaled)
-        W2.append(sol.w2_scaled)
-        left = np.delete(left, j)
+        W1.append(w1)
+        W2.append(w2)
 
     out = SchedulerOutput(clusters=plans, Kc=Kc, P=P)
     rates = dict(realized_rates(out, pool))
     out.realized_rates = [
-        (
-            rates[plan.strong_id],
-            rates.get(plan.weak_id, 0.0) if plan.weak_id is not None else 0.0,
-        )
-        for plan in plans
+        (rates[plan.strong_id], rates.get(plan.weak_id, 0.0)) for plan in plans
     ]
     return out
 
@@ -361,36 +353,27 @@ def realized_rates(output: SchedulerOutput, pool: UserPool) -> list[tuple[int, f
 
 
 def baseline_sus_zf(
-    pool: UserPool, Nt: int, P_T: float, cfg: SUSConfig
+    pool: UserPool, P_T: float, cfg: SUSConfig
 ) -> tuple[float, float, float]:
     """Conventional reference: two scheduling intervals with ZF beams.
 
-    Each interval selects users from one pool with the same greedy
-    semi-orthogonal rule and serves them with zero-forcing beams (each
-    user's channel projected onto the complement of the co-scheduled
-    users' span, normalized) at equal power P_T/Kc.  Returns the two
-    interval sum rates and their average (each group is served half the
-    time).
+    Each interval serves one pool through zf_select, the SUS+ZF step that
+    schedule uses for its strong users: each selected user's beam is its
+    zero-forced channel, normalized, at equal power P_T/Kc.  Returns the
+    two interval sum rates and their average (each group is served half
+    the time).
     """
 
     def interval(users: list[User]) -> float:
-        if not users:
-            raise ValueError("empty user pool")
-        sel = sus_select([u.h for u in users], cfg)
-        if not sel:
-            raise ValueError("selection returned no users")
+        sel, _, h_zf = zf_select(users, cfg)
         p = P_T / len(sel)
         total = 0.0
-        for i in sel:
-            others = [users[j].h for j in sel if j != i]
-            basis = gram_schmidt(others) if others else OrthonormalBasis(vectors=[])
-            w = project_complement(users[i].h, basis)
+        for u, w in zip(sel, h_zf):
             w_norm = float(np.linalg.norm(w))
             if w_norm == 0.0:
                 continue
-            w /= w_norm
-            gain = abs(np.vdot(users[i].h, w)) ** 2
-            total += math.log2(1.0 + p * gain / users[i].eps_sq)
+            gain = abs(np.vdot(u.h, w / w_norm)) ** 2
+            total += math.log2(1.0 + p * gain / u.eps_sq)
         return total
 
     s_strong = interval(pool.strong)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+import numbers
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -43,6 +44,13 @@ class SimConfig:
     delta: float = 0.3
 
     def __post_init__(self):
+        for f in fields(self):  # int fields take integers, float fields any real
+            value = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {kind.__name__.lower()}, got {value!r}")
+            if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.k_users < 2 or self.k_users % 2 != 0:
             raise ValueError("k_users must be even and at least 2")
         if self.trials < 1:
@@ -60,9 +68,11 @@ class SimConfig:
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "SimConfig":
-        """Flat key-value JSON mirroring the field names; overrides win."""
+        """Flat key-value JSON object mirroring the field names; overrides win."""
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -74,6 +84,9 @@ class SimConfig:
 @dataclass
 class TrialRecord:
     """Per-trial sum rates (bits/s/Hz).
+
+    The field order is the CSV column order of schedule-sim's rows and of
+    the means tables; RATE_FIELDS lists the rate fields in that order.
 
     Baseline group rates are the per-interval sums halved: the conventional
     scheme serves each group in its own interval, so the halves are the
@@ -89,16 +102,11 @@ class TrialRecord:
     baseline_weak_rate: float
 
     def __post_init__(self):
-        vals = [
-            self.noma_sum_rate,
-            self.noma_strong_rate,
-            self.noma_weak_rate,
-            self.baseline_sum_rate,
-            self.baseline_strong_rate,
-            self.baseline_weak_rate,
-        ]
-        if not all(math.isfinite(v) and v >= 0 for v in vals):
+        if not all(math.isfinite(v) and v >= 0 for v in astuple(self)[1:]):
             raise ValueError("rates must be finite and nonnegative")
+
+
+RATE_FIELDS = tuple(f.name for f in fields(TrialRecord)[1:])
 
 
 def generate_channels(cfg: SimConfig, rng: np.random.Generator) -> UserPool:
@@ -118,15 +126,11 @@ def generate_channels(cfg: SimConfig, rng: np.random.Generator) -> UserPool:
     return UserPool(strong=strong, weak=weak)
 
 
-def _noma_rates(out: SchedulerOutput) -> dict[str, float]:
-    """The NOMA fields of a TrialRecord: summed realized rates."""
+def _noma_rates(out: SchedulerOutput) -> tuple[float, float, float]:
+    """The NOMA fields of a TrialRecord, in field order: summed realized rates."""
     strong_rate = sum(r1 for r1, _ in out.realized_rates)
     weak_rate = sum(r2 for _, r2 in out.realized_rates)
-    return {
-        "noma_sum_rate": strong_rate + weak_rate,
-        "noma_strong_rate": strong_rate,
-        "noma_weak_rate": weak_rate,
-    }
+    return strong_rate + weak_rate, strong_rate, weak_rate
 
 
 def run_trial(
@@ -137,14 +141,8 @@ def run_trial(
     pool = generate_channels(cfg, rng)
     sus = SUSConfig(target_count=cfg.nt, delta=cfg.delta)
     out = schedule(pool, cfg.nt, cfg.p_total, cfg.gamma if gamma is None else gamma, sus)
-    s_strong, s_weak, combined = baseline_sus_zf(pool, cfg.nt, cfg.p_total, sus)
-    rec = TrialRecord(
-        trial_id=trial_id,
-        **_noma_rates(out),
-        baseline_sum_rate=combined,
-        baseline_strong_rate=0.5 * s_strong,
-        baseline_weak_rate=0.5 * s_weak,
-    )
+    s_strong, s_weak, combined = baseline_sus_zf(pool, cfg.p_total, sus)
+    rec = TrialRecord(trial_id, *_noma_rates(out), combined, 0.5 * s_strong, 0.5 * s_weak)
     return rec, out, pool
 
 
@@ -156,10 +154,9 @@ def run_trial_sweep(cfg: SimConfig, trial_id: int, gammas: list[float]) -> list[
     """
     rec, _, pool = run_trial(cfg, trial_id, gamma=gammas[0])
     sus = SUSConfig(target_count=cfg.nt, delta=cfg.delta)
-    return [rec] + [
-        replace(rec, **_noma_rates(schedule(pool, cfg.nt, cfg.p_total, g, sus)))
-        for g in gammas[1:]
-    ]
+    baseline = astuple(rec)[-3:]  # the last three fields do not depend on the target
+    outs = (schedule(pool, cfg.nt, cfg.p_total, g, sus) for g in gammas[1:])
+    return [rec] + [TrialRecord(trial_id, *_noma_rates(o), *baseline) for o in outs]
 
 
 def run_monte_carlo(
@@ -178,13 +175,6 @@ def run_monte_carlo(
 
 
 def aggregate_means(records: list[TrialRecord]) -> dict[str, float]:
-    keys = (
-        "noma_sum_rate",
-        "noma_strong_rate",
-        "noma_weak_rate",
-        "baseline_sum_rate",
-        "baseline_strong_rate",
-        "baseline_weak_rate",
-    )
+    """Mean of each rate field over the records, keyed in RATE_FIELDS order."""
     n = len(records)
-    return {k: sum(getattr(r, k) for r in records) / n for k in keys}
+    return {k: sum(getattr(r, k) for r in records) / n for k in RATE_FIELDS}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from misonoma.cli import main
+from misonoma.simulation import SimConfig, aggregate_means, run_trial
 
 
 def _read_csv(path):
@@ -56,12 +57,21 @@ def test_gamma_sweep_csv(tmp_path):
     rc = main(
         [
             "gamma-sweep",
-            "--k", "8", "--trials", "2", "--seed", "5",
+            "--k", "8", "--trials", "3", "--seed", "5",
             "--gamma-min", "0.5", "--gamma-max", "2",
             "--gamma-points", "4", "--out", str(out),
         ]
     )
     assert rc == 0
+    # each row is the mean of the per-trial records at its Gamma
+    cfg = SimConfig(k_users=8, trials=3, seed=5)
+    keys = ("noma_strong_rate", "noma_weak_rate", "baseline_strong_rate", "baseline_weak_rate")
+    lines = out.read_bytes().split(b"\n")
+    assert len(lines) == 6 and lines[-1] == b""
+    for G, line in zip(np.linspace(0.5, 2.0, 4), lines[1:-1]):
+        means = aggregate_means([run_trial(cfg, t, gamma=float(G))[0] for t in range(3)])
+        row = [float(G)] + [means[k] for k in keys]
+        assert line == ",".join(format(v, ".12e") for v in row).encode()
     header, rows = _read_csv(str(out))
     assert header == [
         "Gamma",
@@ -100,6 +110,15 @@ def test_schedule_sim_summary_row(tmp_path):
         == 0
     )
     header, rows = _read_csv(str(out))
+    assert header == [
+        "trial_id",
+        "noma_sum_rate",
+        "noma_strong_rate",
+        "noma_weak_rate",
+        "baseline_sum_rate",
+        "baseline_strong_rate",
+        "baseline_weak_rate",
+    ]
     assert rows[-1][0] == "mean"
     means = np.mean([[float(v) for v in r[1:]] for r in rows[:-1]], axis=0)
     np.testing.assert_allclose([float(v) for v in rows[-1][1:]], means, rtol=1e-9)
@@ -180,9 +199,12 @@ def test_config_file_and_flag_override(tmp_path):
 
 def test_unknown_config_key_rejected(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"bogus": 1}))
-    rc = main(["schedule-sim", "--config", str(cfg_path), "--out", "/dev/null"])
-    assert rc == 2
+    out = tmp_path / "x.csv"
+    for text in (json.dumps({"bogus": 1}), '{"nt": true}'):
+        cfg_path.write_text(text)
+        argv = ["schedule-sim", "--config", str(cfg_path), "--k", "8", "--trials", "1"]
+        assert main(argv + ["--out", str(out)]) == 2, text
+    assert not out.exists()
 
 
 def test_infeasible_gamma_exit_code(tmp_path):
@@ -204,10 +226,18 @@ def test_bad_flag_exit_code(tmp_path, capsys):
         ["angle-sweep", "--points", "0"],
         ["gamma-sweep", "--gamma-points", "0"],
         ["oracle-check", "--instances", "0"],
+        ["schedule-sim", "--gamma", "nan"],
+        ["schedule-sim", "--pt-db", "nan"],
+        ["schedule-sim", "--pt-db", "inf"],
+        ["schedule-sim", "--delta", "inf"],
+        ["pareto-boundary", "--p-cluster", "nan"],
+        ["angle-sweep", "--gamma", "nan"],
+        ["gamma-sweep", "--gamma-max", "nan"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(out)])
         assert exc.value.code == 2, argv
+        assert argv[-1] in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -16,6 +16,7 @@ from misonoma.scheduler import (
     schedule,
     score_candidates,
     sus_select,
+    zf_select,
 )
 from misonoma.simulation import SimConfig, generate_channels
 from misonoma.two_user_core import (
@@ -391,7 +392,7 @@ class TestBaseline:
             strong=[User(0, [1.0 + 1j, 0.5], 2.0)],
             weak=[User(1, [0.1, 0.1], 1.0)],
         )
-        s, _, _ = baseline_sus_zf(pool, 2, 10.0, SUSConfig(1, 0.5))
+        s, _, _ = baseline_sus_zf(pool, 10.0, SUSConfig(1, 0.5))
         h = pool.strong[0].h
         expect = math.log2(1.0 + 10.0 * float(np.vdot(h, h).real) / 2.0)
         assert s == pytest.approx(expect, rel=1e-12)
@@ -401,7 +402,7 @@ class TestBaseline:
             strong=[User(0, [2.0, 0.0], 1.0), User(1, [0.0, 1.0], 1.0)],
             weak=[User(2, [0.1, 0.0], 1.0), User(3, [0.0, 0.1], 1.0)],
         )
-        s, w, comb = baseline_sus_zf(pool, 2, 10.0, SUSConfig(2, 0.5))
+        s, w, comb = baseline_sus_zf(pool, 10.0, SUSConfig(2, 0.5))
         expect_s = math.log2(1.0 + 5.0 * 4.0) + math.log2(1.0 + 5.0 * 1.0)
         assert s == pytest.approx(expect_s, rel=1e-12)
         assert comb == pytest.approx(0.5 * (s + w), rel=1e-12)
@@ -409,19 +410,31 @@ class TestBaseline:
     def test_served_users_get_zero_mutual_interference(self):
         rng = np.random.default_rng(99)
         pool = _pool(rng, 4, 10, 10)
-        cfg = SUSConfig(4, 0.4)
-        sel = sus_select([u.h for u in pool.strong], cfg)
-        from misonoma.complex_linalg import gram_schmidt, project_complement
-
-        users = pool.strong
-        for i in sel:
-            others = [users[j].h for j in sel if j != i]
-            basis = gram_schmidt(others)
-            w = project_complement(users[i].h, basis)
-            w /= np.linalg.norm(w)
-            for j in sel:
+        sel, _, h_zf = zf_select(pool.strong, SUSConfig(4, 0.4))
+        assert len(sel) >= 2
+        for i, h in enumerate(h_zf):
+            w = h / np.linalg.norm(h)
+            for j, u in enumerate(sel):
                 if j == i:
                     continue
-                assert abs(np.vdot(users[j].h, w)) <= 1e-9 * np.linalg.norm(
-                    users[j].h
-                )
+                assert abs(np.vdot(u.h, w)) <= 1e-9 * np.linalg.norm(u.h)
+
+    @pytest.mark.parametrize("nt, k_users, seeds", [(2, 40, range(20)), (4, 200, range(20))])
+    def test_schedule_and_baseline_share_the_zf_step(self, nt, k_users, seeds):
+        # the NOMA strong users are the baseline's strong interval: the same
+        # zero-forced channels, and the interval rate is their ZF sum rate
+        for seed in seeds:
+            cfg = SimConfig(nt=nt, k_users=k_users, pt_db=10.0 + 5.0 * (seed % 3), seed=seed)
+            pool = generate_channels(cfg, np.random.default_rng(seed))
+            sus = SUSConfig(nt, cfg.delta)
+            sel, _, h_zf = zf_select(pool.strong, sus)
+            out = schedule(pool, nt, cfg.p_total, 0.5 * cfg.p_total / nt, sus)
+            assert [p.strong_id for p in out.clusters] == [u.uid for u in sel]
+            for plan, h in zip(out.clusters, h_zf):
+                assert plan.h1_eff.tobytes() == h.tobytes()
+            s_strong, _, _ = baseline_sus_zf(pool, cfg.p_total, sus)
+            expect = 0.0
+            for u, plan in zip(sel, out.clusters):
+                w_hat = plan.h1_eff / np.linalg.norm(plan.h1_eff)
+                expect += math.log2(1.0 + out.P * abs(np.vdot(u.h, w_hat)) ** 2 / u.eps_sq)
+            assert s_strong == pytest.approx(expect, rel=1e-12, abs=0.0)

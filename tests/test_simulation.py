@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,10 +20,39 @@ def test_config_validation(tmp_path):
         SimConfig(trials=0)
     with pytest.raises(ValueError):
         SimConfig(sigma_h2_sq=0.0)
+    for field, value in (
+        ("nt", True),
+        ("nt", 2.0),
+        ("k_users", "8"),
+        ("trials", None),
+        ("seed", 1.5),
+        ("pt_db", "10"),
+        ("gamma", False),
+        ("pt_db", math.inf),
+        ("gamma", math.nan),
+        ("sigma_h2_sq", -math.inf),
+        ("awgn_var", math.nan),
+        ("delta", math.inf),
+    ):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"baseline_power_mode": "waterfilling"}))
-    with pytest.raises(ValueError):
-        SimConfig.from_file(str(path))
+    for text in (
+        json.dumps({"baseline_power_mode": "waterfilling"}),
+        '["nt"]',
+        "5",
+        "null",
+        '{"nt": "2"}',
+        '{"delta": "0.3"}',
+        '{"seed": 1.5}',
+        '{"nt": true}',
+        '{"gamma": NaN}',
+        '{"pt_db": Infinity}',
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            SimConfig.from_file(str(path), k_users=8, trials=1)
+    assert SimConfig(nt=np.int64(4), gamma=np.float64(0.5), pt_db=20).pt_db == 20
 
 
 def test_p_total_db_conversion():
