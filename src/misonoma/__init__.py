@@ -32,6 +32,7 @@ from .scheduler import (
     realized_rates,
     schedule,
     sus_select,
+    zf_select,
 )
 from .simulation import (
     SimConfig,

@@ -43,10 +43,6 @@ class OrthonormalBasis:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    @property
-    def dim(self) -> int | None:
-        return self.vectors[0].size if self.vectors else None
-
     def max_defect(self) -> float:
         """Largest deviation from orthonormality (0 for an empty basis)."""
         worst = 0.0

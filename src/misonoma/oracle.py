@@ -34,6 +34,9 @@ from .two_user_core import (
 
 ALPHA1_SAMPLES = 1024
 _FEAS_TOL = 1e-12
+# Grid rows evaluated per block: the grid scans are elementwise and
+# row-wise, so blocking bounds the temporaries without changing a value.
+GRID_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -60,22 +63,22 @@ def _min_feasible_alpha1(t: np.ndarray, theta: float) -> np.ndarray:
     sq_th = math.sqrt(theta)
     one_m = 1.0 - theta
 
-    def violation(alpha):
-        beta = (t[:, None] if alpha.ndim == 2 else t) - sq_th * alpha
+    def violation(tt, alpha):
+        beta = tt - sq_th * alpha
         return alpha * alpha + beta * beta / one_m - 1.0
 
     anchor = sq_th * t
     fracs = np.linspace(0.0, 1.0, ALPHA1_SAMPLES)
-    A = anchor[:, None] * fracs[None, :]
-    G = violation(A)
-    feas = G <= _FEAS_TOL
-    first = np.argmax(feas, axis=1)
-    rows = np.arange(t.size)
-    lo = A[rows, np.maximum(first - 1, 0)]
-    hi = A[rows, first]
+    first = np.empty(t.size, dtype=np.intp)  # first feasible sample per row
+    for s in range(0, t.size, GRID_BLOCK_ROWS):
+        blk = slice(s, s + GRID_BLOCK_ROWS)
+        feas = violation(t[blk, None], anchor[blk, None] * fracs[None, :]) <= _FEAS_TOL
+        first[blk] = np.argmax(feas, axis=1)
+    lo = anchor * fracs[np.maximum(first - 1, 0)]
+    hi = anchor * fracs[first]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        ok = violation(mid) <= _FEAS_TOL
+        ok = violation(t, mid) <= _FEAS_TOL
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
     return np.where(first == 0, 0.0, hi)
@@ -120,10 +123,13 @@ def brute_force_max(
 
     a2 = np.linspace(0.0, 1.0, n_alpha2)
     shape = sq_th * a2 + sq_mth * np.sqrt(np.clip(1.0 - a2 * a2, 0.0, None))
-    V = np.minimum(coef1[:, None] * a2[None, :], coef2[:, None] * shape[None, :])
-    best_col = np.argmax(V, axis=1)
-    rows = np.arange(p1.size)
-    grid_vals = V[rows, best_col]
+    best_col = np.empty(p1.size, dtype=np.intp)
+    grid_vals = np.empty(p1.size)
+    for s in range(0, p1.size, GRID_BLOCK_ROWS):
+        blk = slice(s, s + GRID_BLOCK_ROWS)
+        V = np.minimum(coef1[blk, None] * a2[None, :], coef2[blk, None] * shape[None, :])
+        best_col[blk] = np.argmax(V, axis=1)
+        grid_vals[blk] = V.max(axis=1)
 
     # polish alpha2 per row: min of a line and a concave arc is unimodal
     lo = a2[np.maximum(best_col - 1, 0)]
@@ -136,44 +142,32 @@ def brute_force_max(
     i = int(np.argmax(v_star))
     best_p1, best_a2, best_val = float(p1[i]), float(a2_star[i]), float(v_star[i])
 
+    def row(p: float):
+        """Minimal alpha1 at user-1 power p and the objective over alpha2."""
+        tt = np.array([math.sqrt(min(G / p, 1.0)) if p > 0 else 0.0])
+        a1 = float(_min_feasible_alpha1(tt, th)[0])
+        r = math.sqrt(max(P - p, 0.0))
+        dd = math.sqrt(p * k2sq * a1 * a1 + ch.sigma2_sq)
+
+        def val(al: float) -> float:
+            sh = sq_th * al + sq_mth * math.sqrt(max(1.0 - al * al, 0.0))
+            return min(r * c1 * al, r * math.sqrt(k2sq) / dd * sh)
+
+        return a1, val
+
     if p1_fixed is None and p1.size > 1:
         # polish p1 around the winning row, re-solving alpha2 at each probe
         def p1_value(p: float) -> float:
-            tt = np.array([math.sqrt(min(G / p, 1.0)) if p > 0 else 0.0])
-            a1 = _min_feasible_alpha1(tt, th)[0]
-            r = math.sqrt(max(P - p, 0.0))
-            dd = math.sqrt(p * k2sq * a1 * a1 + ch.sigma2_sq)
-
-            def val(al: float) -> float:
-                sh = sq_th * al + sq_mth * math.sqrt(max(1.0 - al * al, 0.0))
-                return min(r * c1 * al, r * math.sqrt(k2sq) / dd * sh)
-
-            return golden_section_max(val, 0.0, 1.0, xtol=1e-12)[1]
+            return golden_section_max(row(p)[1], 0.0, 1.0, xtol=1e-12)[1]
 
         lo_p = float(p1[max(i - 1, 0)])
         hi_p = float(p1[min(i + 1, p1.size - 1)])
         p1_ref, v_p = golden_section_max(p1_value, lo_p, hi_p, xtol=1e-12)
         if v_p > best_val:
             best_p1, best_val = float(p1_ref), float(v_p)
-            tt = np.array([math.sqrt(min(G / best_p1, 1.0)) if best_p1 > 0 else 0.0])
-            a1 = _min_feasible_alpha1(tt, th)[0]
-            r = math.sqrt(max(P - best_p1, 0.0))
-            dd = math.sqrt(best_p1 * k2sq * a1 * a1 + ch.sigma2_sq)
-            best_a2 = golden_section_max(
-                lambda al: min(
-                    r * c1 * al,
-                    r
-                    * math.sqrt(k2sq)
-                    / dd
-                    * (sq_th * al + sq_mth * math.sqrt(max(1.0 - al * al, 0.0))),
-                ),
-                0.0,
-                1.0,
-                xtol=1e-12,
-            )[0]
+            best_a2 = golden_section_max(row(best_p1)[1], 0.0, 1.0, xtol=1e-12)[0]
 
-    tt = np.array([math.sqrt(min(G / best_p1, 1.0)) if best_p1 > 0 else 0.0])
-    best_a1 = float(_min_feasible_alpha1(tt, th)[0])
+    best_a1 = row(best_p1)[0]
     return OracleResult(
         gamma2=best_val * best_val,
         p1=best_p1,

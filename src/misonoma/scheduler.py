@@ -6,7 +6,10 @@ Strong users are picked greedily for near-orthogonal channels (zf_select,
 the SUS+ZF step that the ZF baseline shares); every cluster's beams are
 then designed in the orthogonal complement of the other clusters' strong
 channels, so strong users see no inter-cluster interference by
-construction.  Weak users do experience it; candidates are
+construction.  The selection depends on the strong pool alone, so a trial
+computes it once and passes the same result to schedule, at every target
+Gamma, and to the baseline's strong interval.  Weak users do experience
+inter-cluster interference; candidates are
 scored with an interference estimate that uses already-designed beams for
 earlier clusters and normalized projected strong channels at full cluster
 power as stand-ins for clusters not designed yet.
@@ -107,6 +110,12 @@ class SchedulerOutput:
     realized_rates: list[tuple[float, float]] = field(default_factory=list)
 
 
+def _vdot_rows(w: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """np.vdot(w, h) for every row h of H, written elementwise so that a
+    row's value does not depend on the other rows."""
+    return (w.conj() * H).sum(axis=1)
+
+
 def sus_select(pool_channels, cfg: SUSConfig) -> list[int]:
     """Greedy semi-orthogonal user selection.
 
@@ -114,35 +123,28 @@ def sus_select(pool_channels, cfg: SUSConfig) -> list[int]:
     orthogonal to the span of the already-selected (orthogonalized)
     channels, then discards candidates whose normalized correlation to the
     new basis direction exceeds delta.  May return fewer than target_count
-    users.  Ties break to the lowest index.
+    users.  Ties break to the lowest index.  Each pick deflates the
+    remaining candidates' residuals by the new direction only (the SUS of
+    Yoo and Goldsmith, IEEE JSAC 2006).
     """
-    chans = [as_cvec(h) for h in pool_channels]
-    if not chans:
-        raise ValueError("empty candidate pool")
-    max_norm = max(float(np.linalg.norm(h)) for h in chans)
+    H = np.asarray(list(pool_channels), dtype=np.complex128)  # ragged: ValueError
+    if H.ndim != 2 or H.size == 0 or not np.all(np.isfinite(H)):
+        raise ValueError("expected a nonempty stack of finite 1-D vectors")
+    norms = np.linalg.norm(H, axis=1)
+    tol = _RESIDUAL_TOL * float(norms.max())
     selected: list[int] = []
-    basis: list[np.ndarray] = []
-    candidates = list(range(len(chans)))
-    while candidates and len(selected) < cfg.target_count:
-        best_i, best_norm, best_res = -1, -1.0, None
-        for i in candidates:
-            r = chans[i].copy()
-            for b in basis:
-                r -= np.vdot(b, r) * b
-            n = float(np.linalg.norm(r))
-            if n > best_norm:
-                best_i, best_norm, best_res = i, n, r
-        if best_norm <= _RESIDUAL_TOL * max_norm:
+    cand, R = np.arange(len(H)), H  # candidates in index order and their residuals
+    while cand.size and len(selected) < cfg.target_count:
+        res = np.linalg.norm(R, axis=1)
+        j = int(np.argmax(res))  # the first maximum: ties go to the lowest index
+        if res[j] <= tol:
             break  # remaining candidates lie in the selected span
-        g = best_res / best_norm
-        selected.append(best_i)
-        basis.append(g)
-        candidates = [
-            i
-            for i in candidates
-            if i != best_i
-            and abs(np.vdot(g, chans[i])) <= cfg.delta * float(np.linalg.norm(chans[i]))
-        ]
+        g = R[j] / res[j]
+        selected.append(int(cand[j]))
+        keep = np.abs(_vdot_rows(g, H[cand])) <= cfg.delta * norms[cand]
+        keep[j] = False
+        cand, R = cand[keep], R[keep]  # R[keep] is a copy, so H stays intact
+        R -= np.outer(_vdot_rows(g, R), g)
     return selected
 
 
@@ -173,12 +175,6 @@ def estimate_ici(
             raise ValueError("beam/channel dimension mismatch")
         total += P * abs(np.vdot(g, w)) ** 2
     return total
-
-
-def _vdot_rows(w: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """np.vdot(w, h) for every row h of H, written elementwise so that a
-    row's value does not depend on the other rows."""
-    return (w.conj() * H).sum(axis=1)
 
 
 def score_candidates(
@@ -224,17 +220,22 @@ def score_candidates(
     return scores
 
 
-def zf_select(
-    users: list[User], cfg: SUSConfig
-) -> tuple[list[User], list[OrthonormalBasis], list[np.ndarray]]:
+ZFSelection = tuple[list[User], list[OrthonormalBasis], list[np.ndarray]]
+
+
+def zf_select(users: list[User], cfg: SUSConfig) -> ZFSelection:
     """The SUS+ZF step shared by the scheduler and the baseline.
 
     Selects users with sus_select and returns them in selection order with,
     for each, the orthonormal basis of the other selected channels and its
-    own channel projected off that basis (its zero-forced channel).
+    own channel projected off that basis (its zero-forced channel).  It
+    depends on the users alone, so a trial computes it once for its strong
+    users and shares it.
     """
     if not users:
         raise ValueError("empty user pool")
+    if cfg.target_count > users[0].h.size:
+        raise ValueError("target_count must not exceed Nt")
     sel = [users[i] for i in sus_select([u.h for u in users], cfg)]
     if not sel:
         raise ValueError("selection returned no users")
@@ -243,19 +244,17 @@ def zf_select(
 
 
 def schedule(
-    pool: UserPool, Nt: int, P_T: float, Gamma: float, cfg: SUSConfig
+    pool: UserPool, strong: ZFSelection, P_T: float, Gamma: float
 ) -> SchedulerOutput:
-    """Full scheduling pass: strong-user selection, weak pairing, beams.
+    """Full scheduling pass: weak pairing and beams for the strong users
+    selected and zero-forced by strong = zf_select(pool.strong, cfg), which
+    the caller computes once and may share across targets.
 
     Candidates whose effective channel quality would invert the
     strong/weak ordering are skipped; a cluster with no eligible candidate
     is served single-user at full cluster power (flagged in its plan).
     """
-    if not pool.strong or not pool.weak:
-        raise ValueError("both user pools must be nonempty")
-    if cfg.target_count > Nt:
-        raise ValueError("target_count must not exceed Nt")
-    sel_users, bases, h_eff = zf_select(pool.strong, cfg)
+    sel_users, bases, h_eff = strong
     Kc = len(sel_users)
     if len(pool.weak) < Kc:
         raise ValueError(f"weak pool ({len(pool.weak)}) smaller than Kc ({Kc})")
@@ -353,19 +352,20 @@ def realized_rates(output: SchedulerOutput, pool: UserPool) -> list[tuple[int, f
 
 
 def baseline_sus_zf(
-    pool: UserPool, P_T: float, cfg: SUSConfig
+    pool: UserPool, strong: ZFSelection, P_T: float, cfg: SUSConfig
 ) -> tuple[float, float, float]:
     """Conventional reference: two scheduling intervals with ZF beams.
 
-    Each interval serves one pool through zf_select, the SUS+ZF step that
-    schedule uses for its strong users: each selected user's beam is its
-    zero-forced channel, normalized, at equal power P_T/Kc.  Returns the
-    two interval sum rates and their average (each group is served half
-    the time).
+    Each interval serves one pool's zf_select result: each selected user's
+    beam is its zero-forced channel, normalized, at equal power P_T/Kc.  The
+    strong interval serves strong = zf_select(pool.strong, cfg), shared with
+    the NOMA schedule; only the weak pool is selected here.  Returns the two
+    interval sum rates and their average (each group is served half the
+    time).
     """
 
-    def interval(users: list[User]) -> float:
-        sel, _, h_zf = zf_select(users, cfg)
+    def interval(selection: ZFSelection) -> float:
+        sel, _, h_zf = selection
         p = P_T / len(sel)
         total = 0.0
         for u, w in zip(sel, h_zf):
@@ -376,6 +376,6 @@ def baseline_sus_zf(
             total += math.log2(1.0 + p * gain / u.eps_sq)
         return total
 
-    s_strong = interval(pool.strong)
-    s_weak = interval(pool.weak)
+    s_strong = interval(strong)
+    s_weak = interval(zf_select(pool.weak, cfg))
     return s_strong, s_weak, 0.5 * (s_strong + s_weak)

@@ -21,6 +21,7 @@ from .scheduler import (
     UserPool,
     baseline_sus_zf,
     schedule,
+    zf_select,
 )
 
 
@@ -61,6 +62,10 @@ class SimConfig:
             raise ValueError("nt must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        try:
+            self.p_total
+        except OverflowError:
+            raise ValueError(f"pt_db too large for a float power, got {self.pt_db!r}") from None
 
     @property
     def p_total(self) -> float:
@@ -136,12 +141,14 @@ def _noma_rates(out: SchedulerOutput) -> tuple[float, float, float]:
 def run_trial(
     cfg: SimConfig, trial_id: int, gamma: float | None = None
 ) -> tuple[TrialRecord, SchedulerOutput, UserPool]:
-    """One channel realization: NOMA schedule plus the ZF baseline."""
+    """One channel realization: NOMA schedule plus the ZF baseline, sharing
+    one SUS+ZF selection of the strong users."""
     rng = np.random.default_rng(cfg.seed + trial_id)
     pool = generate_channels(cfg, rng)
     sus = SUSConfig(target_count=cfg.nt, delta=cfg.delta)
-    out = schedule(pool, cfg.nt, cfg.p_total, cfg.gamma if gamma is None else gamma, sus)
-    s_strong, s_weak, combined = baseline_sus_zf(pool, cfg.p_total, sus)
+    strong = zf_select(pool.strong, sus)
+    out = schedule(pool, strong, cfg.p_total, cfg.gamma if gamma is None else gamma)
+    s_strong, s_weak, combined = baseline_sus_zf(pool, strong, cfg.p_total, sus)
     rec = TrialRecord(trial_id, *_noma_rates(out), combined, 0.5 * s_strong, 0.5 * s_weak)
     return rec, out, pool
 
@@ -150,12 +157,13 @@ def run_trial_sweep(cfg: SimConfig, trial_id: int, gammas: list[float]) -> list[
     """run_trial(cfg, trial_id, gamma=g)[0] for each g in gammas.
 
     The channels are drawn and the ZF baseline computed once, by run_trial
-    at the first target; each further target only reschedules that pool.
+    at the first target; every further target reschedules that pool with
+    one shared SUS+ZF selection of its strong users.
     """
     rec, _, pool = run_trial(cfg, trial_id, gamma=gammas[0])
-    sus = SUSConfig(target_count=cfg.nt, delta=cfg.delta)
+    strong = zf_select(pool.strong, SUSConfig(target_count=cfg.nt, delta=cfg.delta))
     baseline = astuple(rec)[-3:]  # the last three fields do not depend on the target
-    outs = (schedule(pool, cfg.nt, cfg.p_total, g, sus) for g in gammas[1:])
+    outs = (schedule(pool, strong, cfg.p_total, g) for g in gammas[1:])
     return [rec] + [TrialRecord(trial_id, *_noma_rates(o), *baseline) for o in outs]
 
 

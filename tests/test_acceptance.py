@@ -19,7 +19,7 @@ from scipy.stats import spearmanr
 from misonoma.angle_analysis import gamma2_fixed_vs_theta, gamma2_simple_power
 from misonoma.cli import main as cli_main
 from misonoma.oracle import brute_force_max, sample_instance
-from misonoma.scheduler import SUSConfig, schedule
+from misonoma.scheduler import SUSConfig, schedule, zf_select
 from misonoma.simulation import SimConfig, aggregate_means, generate_channels, run_trial
 from misonoma.two_user_core import (
     CaseTag,
@@ -267,7 +267,7 @@ def test_criterion_09_scheduler_zero_forcing():
     for _ in range(50):
         cfg = SimConfig(nt=4, k_users=40, pt_db=10.0, gamma=gamma, trials=1, seed=1)
         pool = generate_channels(cfg, rng)
-        out = schedule(pool, 4, cfg.p_total, gamma, SUSConfig(4, 0.4))
+        out = schedule(pool, zf_select(pool.strong, SUSConfig(4, 0.4)), cfg.p_total, gamma)
         for k, plan in enumerate(out.clusters):
             hs = pool.by_id(plan.strong_id).h
             s1 = abs(np.vdot(hs, plan.w1_tilde)) ** 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from misonoma.complex_linalg import OrthonormalBasis, gram_schmidt, project_complement
+from misonoma.complex_linalg import OrthonormalBasis, as_cvec, gram_schmidt, project_complement
 from misonoma.scheduler import (
     ClusterPlan,
     SchedulerOutput,
@@ -35,6 +35,47 @@ def _cplx(rng, n, var=1.0):
 def _pool(rng, nt, n_strong, n_weak, var_s=1.0, var_w=0.01):
     strong = [User(i, _cplx(rng, nt, var_s), 1.0) for i in range(n_strong)]
     weak = [User(n_strong + i, _cplx(rng, nt, var_w), 1.0) for i in range(n_weak)]
+    return UserPool(strong=strong, weak=weak)
+
+
+def _loop_sus_select(pool_channels, cfg):
+    """sus_select as a loop over candidates and basis vectors, rebuilding
+    each candidate's residual from scratch in every round: the reference
+    for the array recurrence."""
+    chans = [as_cvec(h) for h in pool_channels]
+    if not chans:
+        raise ValueError("empty candidate pool")
+    max_norm = max(float(np.linalg.norm(h)) for h in chans)
+    selected, basis = [], []
+    candidates = list(range(len(chans)))
+    while candidates and len(selected) < cfg.target_count:
+        best_i, best_norm, best_res = -1, -1.0, None
+        for i in candidates:
+            r = chans[i].copy()
+            for b in basis:
+                r -= np.vdot(b, r) * b
+            n = float(np.linalg.norm(r))
+            if n > best_norm:
+                best_i, best_norm, best_res = i, n, r
+        if best_norm <= 1e-12 * max_norm:
+            break
+        g = best_res / best_norm
+        selected.append(best_i)
+        basis.append(g)
+        candidates = [
+            i
+            for i in candidates
+            if i != best_i
+            and abs(np.vdot(g, chans[i])) <= cfg.delta * float(np.linalg.norm(chans[i]))
+        ]
+    return selected
+
+
+def _pool_of(rng, strong_chans, n_weak, var_w=0.01):
+    """A pool with the given strong channels and random weak ones."""
+    nt = len(strong_chans[0])
+    strong = [User(i, h, 1.0) for i, h in enumerate(strong_chans)]
+    weak = [User(len(strong) + i, _cplx(rng, nt, var_w), 1.0) for i in range(n_weak)]
     return UserPool(strong=strong, weak=weak)
 
 
@@ -131,8 +172,43 @@ class TestSusSelect:
                 basis.append(g)
 
     def test_empty_pool_rejected(self):
-        with pytest.raises(ValueError):
-            sus_select([], SUSConfig(2, 0.5))
+        # also ragged, non-finite, 2-D-entry, scalar-entry and empty-entry stacks
+        for chans in (
+            [],
+            [[1.0, 0.0], [0.0, 1.0, 0.0]],
+            [[1.0, 0.0], [math.nan, 1.0]],
+            [[1.0, 0.0], [1j * math.inf, 1.0]],
+            [np.eye(2)],
+            [np.eye(2), np.eye(2)],
+            [1.0, 2.0],
+            [[], []],
+        ):
+            with pytest.raises(ValueError):
+                sus_select(chans, SUSConfig(2, 0.5))
+
+    @pytest.mark.parametrize("nt", [1, 2, 4, 8])
+    def test_array_recurrence_matches_loop(self, nt):
+        # random pools of 1-120 users, a quarter of them no larger than Nt, with
+        # duplicate, collinear (complex multiples) and all-zero channels mixed
+        # in, and every tenth pool all zero
+        seen = set()
+        for seed in range(120):
+            rng = np.random.default_rng(1000 * nt + seed)
+            n = int(rng.integers(1, nt + 1) if seed % 4 == 0 else rng.integers(1, 121))
+            H = _cplx(rng, (n, nt), var=float(rng.choice([1e-6, 1.0, 1e4])))
+            for row in rng.integers(0, n, size=(int(rng.integers(0, n // 4 + 1)), 3)):
+                H[row[0]] = H[row[1]]  # duplicate
+                H[row[2]] = complex(*rng.normal(size=2)) * H[row[1]]  # collinear
+            H[rng.random(n) < 0.1] = 0.0
+            if seed % 10 == 9:
+                H[:] = 0.0
+            cfg = SUSConfig(int(rng.integers(1, nt + 1)), (0.1, 0.3, 1.0)[seed % 3])
+            sel = sus_select(list(H), cfg)
+            assert sel == _loop_sus_select(list(H), cfg), seed
+            seen |= {"empty"} if not sel else set()
+            seen |= {"short"} if 0 < len(sel) < cfg.target_count else set()
+            seen |= {"full"} if len(sel) == cfg.target_count else set()
+        assert seen == ({"empty", "full"} if nt == 1 else {"empty", "short", "full"})
 
 
 class TestEstimateIci:
@@ -167,31 +243,57 @@ class TestEstimateIci:
 
 class TestSchedule:
     def test_zero_forcing_and_strong_rate(self):
+        # criterion 9's invariants, on a random pool and on pools where SUS
+        # meets duplicate or collinear strong users or selects fewer than
+        # Nt users, at Gamma = 0, an interior target and Gamma = P_T/Kc
         rng = np.random.default_rng(8)
-        pool = _pool(rng, 2, 6, 6)
-        out = schedule(pool, 2, 10.0, 0.5, SUSConfig(2, 0.6))
-        assert out.Kc >= 1
-        for k, plan in enumerate(out.clusters):
-            hs = pool.by_id(plan.strong_id).h
-            for kk, other in enumerate(out.clusters):
-                if kk == k:
-                    continue
-                for w in (other.w1_tilde, other.w2_tilde):
-                    wn = np.linalg.norm(w)
-                    if wn == 0:
+        cases = [(_pool(rng, 2, 6, 6), SUSConfig(2, 0.6))]
+        a, b, c = (_cplx(rng, 4) for _ in range(3))
+        cases += [
+            (_pool_of(rng, [a, b, c, a, b.copy(), c], 6), SUSConfig(4, 0.9)),
+            (_pool_of(rng, [a, 2 * a, (1 - 1j) * b, 0.5j * a, 3 * b], 6), SUSConfig(4, 1.0)),
+            (_pool(rng, 4, 2, 6), SUSConfig(4, 0.5)),
+            (_pool(rng, 4, 10, 10), SUSConfig(4, 0.3)),
+        ]
+        P_T, underloaded = 10.0, 0
+        for pool, sus in cases:
+            strong = zf_select(pool.strong, sus)
+            underloaded += len(strong[0]) < pool.strong[0].h.size
+            for Gamma in (0.0, 0.5, P_T / len(strong[0])):
+                out = schedule(pool, strong, P_T, Gamma)
+                assert out.Kc >= 1
+                for k, plan in enumerate(out.clusters):
+                    hs = pool.by_id(plan.strong_id).h
+                    others = [
+                        w
+                        for kk, other in enumerate(out.clusters)
+                        if kk != k
+                        for w in (other.w1_tilde, other.w2_tilde)
+                    ]
+                    for w in others:
+                        wn = np.linalg.norm(w)
+                        assert abs(np.vdot(hs, w)) <= 1e-9 * np.linalg.norm(hs) * wn
+                    s1 = abs(np.vdot(hs, plan.w1_tilde)) ** 2
+                    if Gamma > 0:  # at Gamma = 0 a paired strong user gets no power
+                        assert sum(abs(np.vdot(hs, w)) ** 2 for w in others) <= 1e-9 * s1
+                    power = np.vdot(plan.w1_tilde, plan.w1_tilde).real + np.vdot(
+                        plan.w2_tilde, plan.w2_tilde
+                    ).real
+                    assert power <= out.P * (1.0 + 1e-9)
+                    if plan.single_user:
                         continue
-                    assert abs(np.vdot(hs, w)) <= 1e-9 * np.linalg.norm(hs) * wn
-            if plan.single_user:
-                continue
-            lam1 = float(np.vdot(plan.h1_eff, plan.h1_eff).real) / plan.sigma1_sq
-            assert out.realized_rates[k][0] == pytest.approx(
-                math.log2(1.0 + 0.5 * lam1), rel=1e-6
-            )
+                    lam1 = float(np.vdot(plan.h1_eff, plan.h1_eff).real) / plan.sigma1_sq
+                    assert out.realized_rates[k][0] == pytest.approx(
+                        math.log2(1.0 + Gamma * lam1), rel=1e-6
+                    )
+                rates = [r for pair in out.realized_rates for r in pair]
+                assert all(math.isfinite(r) and r >= 0.0 for r in rates)
+        assert underloaded >= 3
 
     def test_power_budget(self):
         rng = np.random.default_rng(12)
         pool = _pool(rng, 4, 10, 10)
-        out = schedule(pool, 4, 10.0, 0.5, SUSConfig(4, 0.5))
+        out = schedule(pool, zf_select(pool.strong, SUSConfig(4, 0.5)), 10.0, 0.5)
         total = sum(
             np.linalg.norm(p.w1_tilde) ** 2 + np.linalg.norm(p.w2_tilde) ** 2
             for p in out.clusters
@@ -201,7 +303,7 @@ class TestSchedule:
     def test_single_cluster_reduces_to_two_user_design(self):
         rng = np.random.default_rng(21)
         pool = _pool(rng, 2, 1, 1)
-        out = schedule(pool, 2, 10.0, 0.5, SUSConfig(1, 0.5))
+        out = schedule(pool, zf_select(pool.strong, SUSConfig(1, 0.5)), 10.0, 0.5)
         assert out.Kc == 1
         ch = TwoUserChannel(pool.strong[0].h, pool.weak[0].h, 1.0, 1.0, 10.0)
         sol = optimize_p1(ch, derive_params(ch, 0.5 * ch.lambda1))
@@ -214,7 +316,7 @@ class TestSchedule:
         # need not be parallel
         rng = np.random.default_rng(33)
         pool = _pool(rng, 4, 2, 2, var_w=0.5)
-        out = schedule(pool, 4, 10.0, 0.2, SUSConfig(2, 0.9))
+        out = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.9)), 10.0, 0.2)
         assert out.Kc == 2
         plan = out.clusters[0]
         w1 = plan.w1_tilde / np.linalg.norm(plan.w1_tilde)
@@ -224,7 +326,7 @@ class TestSchedule:
     def test_weak_choice_attains_candidate_maximum(self):
         rng = np.random.default_rng(45)
         pool = _pool(rng, 2, 4, 5)
-        out = schedule(pool, 2, 10.0, 0.5, SUSConfig(2, 0.6))
+        out = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.6)), 10.0, 0.5)
         plan = out.clusters[0]
         assert not plan.single_user
         # recompute every candidate's achievable SINR for cluster 0
@@ -260,7 +362,7 @@ class TestSchedule:
         # rate equals the design value
         rng = np.random.default_rng(52)
         pool = _pool(rng, 2, 6, 6)
-        out = schedule(pool, 2, 10.0, 0.5, SUSConfig(2, 0.6))
+        out = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.6)), 10.0, 0.5)
         if out.Kc < 2 or out.clusters[-1].single_user:
             pytest.skip("needs a two-cluster realization with a paired last cluster")
         plan = out.clusters[-1]
@@ -271,8 +373,8 @@ class TestSchedule:
     def test_determinism(self):
         rng = np.random.default_rng(60)
         pool = _pool(rng, 2, 6, 6)
-        out1 = schedule(pool, 2, 10.0, 0.5, SUSConfig(2, 0.6))
-        out2 = schedule(pool, 2, 10.0, 0.5, SUSConfig(2, 0.6))
+        out1 = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.6)), 10.0, 0.5)
+        out2 = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.6)), 10.0, 0.5)
         assert [p.strong_id for p in out1.clusters] == [
             p.strong_id for p in out2.clusters
         ]
@@ -286,13 +388,14 @@ class TestSchedule:
         rng = np.random.default_rng(71)
         pool = _pool(rng, 2, 4, 4)
         with pytest.raises(InfeasibleTargetError):
-            schedule(pool, 2, 10.0, 50.0, SUSConfig(2, 0.5))
+            schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.5)), 10.0, 50.0)
 
     def test_weak_pool_shortage_rejected(self):
         strong = [User(0, [1.0, 0.0], 1.0), User(1, [0.0, 1.0], 1.0)]
         weak = [User(2, [0.05, 0.05], 1.0)]
+        pool = UserPool(strong, weak)
         with pytest.raises(ValueError):
-            schedule(UserPool(strong, weak), 2, 10.0, 0.5, SUSConfig(2, 0.9))
+            schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.9)), 10.0, 0.5)
 
     @pytest.mark.parametrize(
         "nt, k_users, pt_db, seeds, weak_vars, covers",
@@ -320,7 +423,7 @@ class TestSchedule:
             Gamma = cfg.p_total / nt * (0.0, 0.1, 0.3, 0.6, 1.0)[seed % 5]
             pool = generate_channels(cfg, np.random.default_rng(seed))
             sus = SUSConfig(nt, cfg.delta)
-            out = schedule(pool, nt, cfg.p_total, Gamma, sus)
+            out = schedule(pool, zf_select(pool.strong, sus), cfg.p_total, Gamma)
             ref, skips = _scalar_schedule(pool, nt, cfg.p_total, Gamma, sus)
             assert [(p.strong_id, p.weak_id) for p in out.clusters] == [
                 (p.strong_id, p.weak_id) for p in ref.clusters
@@ -348,7 +451,7 @@ class TestSchedule:
             strong=[User(0, [1.0, 0.3j], 1.0)],
             weak=[User(7, g, 1.0), User(3, g, 1.0), User(5, 0.5 * g, 1.0)],
         )
-        out = schedule(pool, 2, 10.0, 0.5, SUSConfig(1, 0.5))
+        out = schedule(pool, zf_select(pool.strong, SUSConfig(1, 0.5)), 10.0, 0.5)
         assert out.clusters[0].weak_id == 3
         ref, _ = _scalar_schedule(pool, 2, 10.0, 0.5, SUSConfig(1, 0.5))
         assert ref.clusters[0].weak_id == 3
@@ -361,7 +464,7 @@ class TestSchedule:
             weak=[User(1, [3.0, 1.0j], 1.0), User(2, [0.0, 2.0], 1.0), User(3, 2 * h, 2.0)],
         )
         P = 10.0
-        out = schedule(pool, 2, P, 0.5, SUSConfig(1, 0.5))
+        out = schedule(pool, zf_select(pool.strong, SUSConfig(1, 0.5)), P, 0.5)
         plan = out.clusters[0]
         assert plan.single_user and plan.weak_id is None and plan.solution is None
         assert not np.any(plan.w2_tilde)
@@ -372,13 +475,14 @@ class TestSchedule:
     def test_no_strong_user_selected_rejected(self):
         strong = [User(0, [0.0, 0.0], 1.0), User(1, [0.0, 0.0], 1.0)]
         weak = [User(2, [0.05, 0.05], 1.0), User(3, [0.01, 0.02], 1.0)]
+        pool = UserPool(strong, weak)
         with pytest.raises(ValueError, match="selection returned no users"):
-            schedule(UserPool(strong, weak), 2, 10.0, 0.5, SUSConfig(2, 0.9))
+            schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.9)), 10.0, 0.5)
 
     def test_realized_rates_roundtrip(self):
         rng = np.random.default_rng(84)
         pool = _pool(rng, 2, 6, 6)
-        out = schedule(pool, 2, 10.0, 0.5, SUSConfig(2, 0.6))
+        out = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.6)), 10.0, 0.5)
         rates = dict(realized_rates(out, pool))
         for k, plan in enumerate(out.clusters):
             assert rates[plan.strong_id] == pytest.approx(out.realized_rates[k][0])
@@ -392,7 +496,8 @@ class TestBaseline:
             strong=[User(0, [1.0 + 1j, 0.5], 2.0)],
             weak=[User(1, [0.1, 0.1], 1.0)],
         )
-        s, _, _ = baseline_sus_zf(pool, 10.0, SUSConfig(1, 0.5))
+        sus = SUSConfig(1, 0.5)
+        s, _, _ = baseline_sus_zf(pool, zf_select(pool.strong, sus), 10.0, sus)
         h = pool.strong[0].h
         expect = math.log2(1.0 + 10.0 * float(np.vdot(h, h).real) / 2.0)
         assert s == pytest.approx(expect, rel=1e-12)
@@ -402,7 +507,8 @@ class TestBaseline:
             strong=[User(0, [2.0, 0.0], 1.0), User(1, [0.0, 1.0], 1.0)],
             weak=[User(2, [0.1, 0.0], 1.0), User(3, [0.0, 0.1], 1.0)],
         )
-        s, w, comb = baseline_sus_zf(pool, 10.0, SUSConfig(2, 0.5))
+        sus = SUSConfig(2, 0.5)
+        s, w, comb = baseline_sus_zf(pool, zf_select(pool.strong, sus), 10.0, sus)
         expect_s = math.log2(1.0 + 5.0 * 4.0) + math.log2(1.0 + 5.0 * 1.0)
         assert s == pytest.approx(expect_s, rel=1e-12)
         assert comb == pytest.approx(0.5 * (s + w), rel=1e-12)
@@ -427,12 +533,13 @@ class TestBaseline:
             cfg = SimConfig(nt=nt, k_users=k_users, pt_db=10.0 + 5.0 * (seed % 3), seed=seed)
             pool = generate_channels(cfg, np.random.default_rng(seed))
             sus = SUSConfig(nt, cfg.delta)
-            sel, _, h_zf = zf_select(pool.strong, sus)
-            out = schedule(pool, nt, cfg.p_total, 0.5 * cfg.p_total / nt, sus)
+            strong = zf_select(pool.strong, sus)
+            sel, _, h_zf = strong
+            out = schedule(pool, strong, cfg.p_total, 0.5 * cfg.p_total / nt)
             assert [p.strong_id for p in out.clusters] == [u.uid for u in sel]
             for plan, h in zip(out.clusters, h_zf):
                 assert plan.h1_eff.tobytes() == h.tobytes()
-            s_strong, _, _ = baseline_sus_zf(pool, cfg.p_total, sus)
+            s_strong, _, _ = baseline_sus_zf(pool, strong, cfg.p_total, sus)
             expect = 0.0
             for u, plan in zip(sel, out.clusters):
                 w_hat = plan.h1_eff / np.linalg.norm(plan.h1_eff)

@@ -33,6 +33,7 @@ def test_config_validation(tmp_path):
         ("sigma_h2_sq", -math.inf),
         ("awgn_var", math.nan),
         ("delta", math.inf),
+        ("pt_db", 4000.0),
     ):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
@@ -48,6 +49,7 @@ def test_config_validation(tmp_path):
         '{"nt": true}',
         '{"gamma": NaN}',
         '{"pt_db": Infinity}',
+        '{"pt_db": 4000}',
     ):
         path.write_text(text)
         with pytest.raises(ValueError):
