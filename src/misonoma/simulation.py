@@ -69,7 +69,7 @@ class SimConfig:
 
     @property
     def p_total(self) -> float:
-        return 10.0 ** (self.pt_db / 10.0)
+        return 10.0 ** (float(self.pt_db) / 10.0)
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "SimConfig":

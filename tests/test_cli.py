@@ -233,14 +233,16 @@ def test_bad_flag_exit_code(tmp_path, capsys):
         ["pareto-boundary", "--p-cluster", "nan"],
         ["angle-sweep", "--gamma", "nan"],
         ["gamma-sweep", "--gamma-max", "nan"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2, argv
+        assert argv[-1] in capsys.readouterr().err
+    for argv in (
         ["schedule-sim", "--k", "8", "--trials", "1", "--pt-db", "4000"],
         ["gamma-sweep", "--k", "8", "--trials", "1", "--pt-db", "4000"],
     ):
-        try:  # argparse exits; SimConfig's checks return the exit code
-            code = main(argv + ["--out", str(out)])
-        except SystemExit as exc:
-            code = exc.code
-        assert code == 2, argv
+        assert main(argv + ["--out", str(out)]) == 2, argv
         assert argv[-1] in capsys.readouterr().err
     assert not out.exists()
 

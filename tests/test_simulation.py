@@ -34,6 +34,7 @@ def test_config_validation(tmp_path):
         ("awgn_var", math.nan),
         ("delta", math.inf),
         ("pt_db", 4000.0),
+        ("pt_db", np.float64(4000.0)),
     ):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
