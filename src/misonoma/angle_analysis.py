@@ -290,8 +290,9 @@ def matched_filter_limit_check(
 
 
 def _beam_angle(w: np.ndarray, h: np.ndarray) -> float:
-    nw = float(np.linalg.norm(w))
-    if nw == 0.0:
-        return 0.0
-    cosang = abs(np.vdot(w, h)) / (nw * float(np.linalg.norm(h)))
-    return math.acos(min(max(cosang, 0.0), 1.0))
+    """Angle between w and the line of h, as atan2 of w's components
+    orthogonal and parallel to h (0 for w = 0): acos of the cosine cannot
+    resolve angles below sqrt(2*eps), about 2.1e-8."""
+    u = h / np.linalg.norm(h)
+    proj = np.vdot(u, w)
+    return math.atan2(float(np.linalg.norm(w - proj * u)), abs(proj))

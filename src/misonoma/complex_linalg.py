@@ -24,7 +24,7 @@ def as_cvec(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.complex128)
     if v.ndim != 1 or v.size < 1:
         raise ValueError("expected a 1-D vector with at least one entry")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -33,12 +33,11 @@ def as_cvec(x) -> np.ndarray:
 class OrthonormalBasis:
     """Mutually orthonormal vectors spanning a subspace of C^n.
 
-    ``tol`` is the orthonormality tolerance the constructor guarantees:
-    |<v_i, v_j>| <= tol for i != j and | ||v_i|| - 1 | <= tol.
+    gram_schmidt guarantees |<v_i, v_j>| <= BASIS_TOL for i != j and
+    | ||v_i|| - 1 | <= BASIS_TOL.
     """
 
     vectors: list[np.ndarray]
-    tol: float = BASIS_TOL
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -53,21 +52,19 @@ class OrthonormalBasis:
         return worst
 
 
-def gram_schmidt(columns, tol: float | None = None) -> OrthonormalBasis:
+def gram_schmidt(columns) -> OrthonormalBasis:
     """Orthonormal basis of span(columns) via modified Gram-Schmidt.
 
-    Vectors whose residual norm after deflation is <= tol are dropped, so
-    rank-deficient inputs simply yield a smaller basis.  The default tol is
-    DEFAULT_RANK_TOL times the largest input norm.  A second deflation pass
-    keeps the result orthonormal to ~1e-15 even for nearly parallel inputs.
+    Vectors whose residual norm after deflation is <= DEFAULT_RANK_TOL
+    times the largest input norm are dropped, so rank-deficient inputs
+    simply yield a smaller basis.  A second deflation pass keeps the result
+    orthonormal to ~1e-15 even for nearly parallel inputs.
     """
     cols = [as_cvec(c) for c in columns]
     if len({c.size for c in cols}) > 1:
         raise ValueError("all vectors must have the same length")
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
     max_norm = max((float(np.linalg.norm(c)) for c in cols), default=0.0)
-    drop = DEFAULT_RANK_TOL * max_norm if tol is None else tol
+    drop = DEFAULT_RANK_TOL * max_norm
 
     basis: list[np.ndarray] = []
     for c in cols:

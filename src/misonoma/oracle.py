@@ -134,7 +134,8 @@ def brute_force_max(
     # polish alpha2 per row: min of a line and a concave arc is unimodal
     lo = a2[np.maximum(best_col - 1, 0)]
     hi = a2[np.minimum(best_col + 1, n_alpha2 - 1)]
-    a2_ref, v_ref = vector_golden_section_max(rows_value, lo, hi)
+    # xtol at round-off: at least 60 shrinks on the brackets of grids up to 4096
+    a2_ref, v_ref = vector_golden_section_max(rows_value, lo, hi, xtol=1e-16)
     keep = grid_vals >= v_ref
     a2_star = np.where(keep, a2[best_col], a2_ref)
     v_star = np.maximum(grid_vals, v_ref)

@@ -17,8 +17,9 @@ power as stand-ins for clusters not designed yet.
 All weak candidates left for a cluster are scored in one batch
 (score_candidates): their interference estimates, projected channels and
 scalar reductions are array operations over the stacked weak pool, and
-their best weak SINRs come from one row-wise search
-(maximize_gamma2_batch).  Only the winner goes through the scalar design
+their best weak SINRs come from one row-wise golden section over p1 in
+[Gamma, P] (maximize_gamma2_batch, the scalar search's recurrence on
+arrays).  Only the winner goes through the scalar design
 (estimate_ici, project_complement, derive_params, optimize_p1), which
 builds its beams.
 """

@@ -7,6 +7,7 @@ from misonoma.angle_analysis import (
     PowerBranch,
     ThetaBand,
     ThetaRegion,
+    _beam_angle,
     classify_theta_region,
     gamma2_fixed_vs_theta,
     gamma2_simple_power,
@@ -178,6 +179,9 @@ class TestMatchedFilterLimit:
         assert ang1[0] > ang1[1] > ang1[2]
         ang2 = [a for _, _, _, a in rows]
         assert max(ang2) <= 1e-9
+        # the angle reading resolves angles far below the 1e-9 bound
+        w = 3.0 * np.exp(0.7j) * np.array([math.cos(1e-12), math.sin(1e-12)])
+        assert _beam_angle(w, np.array([2.0j, 0.0])) == pytest.approx(1e-12, rel=1e-9)
 
     def test_limit_value(self):
         rows = matched_filter_limit_check(10.0, 2.0, 10.0, 0.5, [1e-4])

@@ -9,10 +9,12 @@ from misonoma.oracle import sample_instance
 from misonoma.two_user_core import (
     P1_GRID,
     CaseTag,
+    DerivedParams,
     InfeasibleTargetError,
     OptRegion,
     TwoUserChannel,
     _gamma2_pointwise_vec,
+    _grid_golden_max,
     achieved_gamma2,
     achieved_user1_sinr,
     alpha1_star,
@@ -201,6 +203,8 @@ class TestGamma2OfP1:
             (20.0, 3.0, 0.5, 2.0),
             (20.0, 2e-5, 0.5, 0.5),
             (20.0, 2e-5, 1.0, 2.0),
+            # aligned equal-quality channels: a == b with c = 0 at every p1
+            (20.0, 20.0, 1.0, 0.5),
         ):
             ch = channel_from_quality(lam1, lam2, th, 2.0)
             instances.append((ch, derive_params(ch, G * ch.lambda1)))
@@ -235,7 +239,14 @@ class TestGamma2OfP1:
         shared (lambda1, Gamma, P) with edges theta in {0, 1}, Gamma in {0, P}
         and lambda2 = 1e-6*lambda1 among the rows."""
         rng = np.random.default_rng(17)
-        for lam1, P, g in ((20.0, 2.0, 0.25), (5.0, 10.0, 0.0), (50.0, 4.0, 1.0), (1.0, 0.5, 0.9)):
+        for lam1, P, g in (
+            (20.0, 2.0, 0.25),
+            (5.0, 10.0, 0.0),
+            (50.0, 4.0, 1.0),
+            (1.0, 0.5, 0.9),
+            # P^2 * lambda beyond the float range, Gamma about 1
+            (20.0, 1e160, 1e-160),
+        ):
             lam2 = np.concatenate(
                 [lam1 * rng.uniform(1e-6, 1.0, 30), [1e-6 * lam1, 1e-6 * lam1, lam1, 0.5 * lam1]]
             )
@@ -245,12 +256,58 @@ class TestGamma2OfP1:
                 for l2, th in zip(lam2, theta)
             ]
             G = params[0].Gamma
-            batch = maximize_gamma2_batch(lam1, lam2, theta, G, P)
+            # the reductions the scalar search sees: theta = 1 can come back
+            # one ulp below 1, which matters once Gamma/P is below 1e-16
+            batch = maximize_gamma2_batch(
+                lam1,
+                np.array([prm.lambda2 for prm in params]),
+                np.array([prm.theta for prm in params]),
+                G,
+                P,
+            )
             scalar = [
                 maximize_gamma2_over_p1(channel_from_quality(lam1, l2, th, P), prm)[1]
                 for l2, th, prm in zip(lam2, theta, params)
             ]
             np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-15)
+
+    def test_grid_free_search_differential(self):
+        """The grid-free search, row-wise and scalar, is never below the
+        grid-then-golden reference (_grid_golden_max) nor a 4096-point scan,
+        by more than 1e-9 relative.  10^4 draws in groups that share
+        (lambda1, Gamma, P); edges: theta at 0 and 1 and within 1e-7 of
+        them, lambda2/lambda1 down to 1e-9, Gamma at 0 and at P."""
+        rng = np.random.default_rng(23)
+        rows = 100
+        for k in range(100):
+            lam1 = float(np.exp(rng.uniform(0.0, math.log(1e3))))
+            P = float(np.exp(rng.uniform(math.log(0.1), math.log(1e3))))
+            G = (0.0, P, P * float(rng.uniform()))[min(k % 10, 2)]
+            near = 1e-7 * rng.uniform(size=rows)
+            u = rng.uniform(size=rows)
+            theta = np.select(
+                [u < 0.1, u < 0.2, u < 0.35, u < 0.5],
+                [0.0, 1.0, near, 1.0 - near],
+                rng.uniform(size=rows),
+            )
+            u = rng.uniform(size=rows)
+            lam2 = lam1 * np.select(
+                [u < 0.1, u < 0.2], [1e-9, 1.0], np.exp(rng.uniform(math.log(1e-9), 0.0, rows))
+            )
+            cols = (lam2[:, None], theta[:, None])
+            scan = _gamma2_pointwise_vec(np.linspace(G, P, 4096), lam1, *cols, G, P)
+            grid = _gamma2_pointwise_vec(np.linspace(G, P, P1_GRID), lam1, *cols, G, P)
+            ch = channel_from_quality(lam1, lam1, 1.0, P)  # gamma2_of_p1 reads only P
+            new = maximize_gamma2_batch(lam1, lam2, theta, G, P)
+            for j in range(rows):
+                prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G, math.nan)
+                _, old = _grid_golden_max(
+                    lambda p: gamma2_of_p1(p, ch, prm)[0], lambda _: grid[j], G, P
+                )
+                ref = (1.0 - 1e-9) * max(old, scan[j].max())
+                assert new[j] >= ref, (lam1, lam2[j], theta[j], G, P)
+                if j % 10 == 0:
+                    assert maximize_gamma2_over_p1(ch, prm)[1] >= ref
 
 
 def _random_params(rng):
