@@ -31,6 +31,7 @@ from .scheduler import (
     estimate_ici,
     realized_rates,
     schedule,
+    schedule_targets,
     sus_select,
     zf_select,
 )

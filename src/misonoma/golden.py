@@ -54,22 +54,50 @@ def vector_golden_section_max(f, lo: np.ndarray, hi: np.ndarray, xtol: float):
 
     f maps an array of points to an array of values of the same shape.
     Each row runs golden_section_max's recurrence, with one new evaluation
-    per shrink, for as many shrinks as the widest bracket needs; on the
-    rows whose bracket is the widest, (x, f(x)) equals the scalar result
-    bitwise whenever f does.
+    per shrink, for its own step count (golden_steps of its width), and a
+    row of width <= xtol returns its midpoint; so on every row (x, f(x))
+    equals the scalar result bitwise whenever f does.  f is evaluated on
+    whole arrays, so a row that has finished rides along through the later
+    shrinks and its result is the one taken when it finished.  When all
+    rows share one width, nothing is masked.
     """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
     h = b - a
-    width = float(h.max(initial=0.0))
-    if width <= xtol:
+    if not h.size or h.max() <= xtol:
         x = 0.5 * (a + b)
         return x, f(x)
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
+    # stops: step count -> the rows that stop there; every row takes the
+    # result of the first stop unless a later one overwrites it, so one
+    # shared width needs no mask
+    if h.min() == h.max():
+        stops = {golden_steps(float(h.flat[0]), xtol) - 1: None}
+    else:
+        widths, at = np.unique(h, return_inverse=True)
+        steps = np.array([golden_steps(w, xtol) - 1 if w > xtol else 0 for w in widths.tolist()])
+        steps = steps[at.reshape(h.shape)]
+        stops = {n: steps == n for n in set(steps.tolist())}
+        tiny = h <= xtol
+        if tiny.any():  # c = d = the midpoint, which their stop at step 0 picks
+            c = np.where(tiny, 0.5 * (a + b), c)
+            d = np.where(tiny, c, d)
     yc = f(c)
     yd = f(d)
-    for _ in range(golden_steps(width, xtol) - 1):
+    x_out = y_out = None
+    last = max(stops)
+    for i in range(last + 1):
+        if i in stops:
+            take = yc > yd
+            x, y = np.where(take, c, d), np.where(take, yc, yd)
+            if x_out is None:
+                x_out, y_out = x, y
+            else:
+                done = stops[i]
+                x_out, y_out = np.where(done, x, x_out), np.where(done, y, y_out)
+        if i == last:
+            return x_out, y_out
         h = h * _INVPHI
         take = yc > yd  # keep [a, d]: the new point is c; else [c, b]: it is d
         a = np.where(take, a, c)
@@ -77,5 +105,3 @@ def vector_golden_section_max(f, lo: np.ndarray, hi: np.ndarray, xtol: float):
         y = f(x)
         c, d = np.where(take, x, d), np.where(take, c, x)
         yc, yd = np.where(take, y, yd), np.where(take, yc, y)
-    take = yc > yd
-    return np.where(take, c, d), np.where(take, yc, yd)

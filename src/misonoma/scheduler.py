@@ -7,19 +7,22 @@ the SUS+ZF step that the ZF baseline shares); every cluster's beams are
 then designed in the orthogonal complement of the other clusters' strong
 channels, so strong users see no inter-cluster interference by
 construction.  The selection depends on the strong pool alone, so a trial
-computes it once and passes the same result to schedule, at every target
-Gamma, and to the baseline's strong interval.  Weak users do experience
-inter-cluster interference; candidates are
-scored with an interference estimate that uses already-designed beams for
-earlier clusters and normalized projected strong channels at full cluster
-power as stand-ins for clusters not designed yet.
+computes it once and passes the same result to the scheduler, at every
+target Gamma, and to the baseline's strong interval.  Weak users do
+experience inter-cluster interference; candidates are scored with an
+interference estimate that uses already-designed beams for earlier
+clusters and normalized projected strong channels at full cluster power as
+stand-ins for clusters not designed yet.
 
-All weak candidates left for a cluster are scored in one batch
-(score_candidates): their interference estimates, projected channels and
-scalar reductions are array operations over the stacked weak pool, and
-their best weak SINRs come from one row-wise golden section over p1 in
-[Gamma, P] (maximize_gamma2_batch, the scalar search's recurrence on
-arrays).  Only the winner goes through the scalar design
+schedule_targets is the one scheduling pass; schedule is that pass at one
+target.  All weak candidates left for a cluster are scored in one batch:
+their interference estimates, projected channels and scalar reductions are
+array operations over the stacked weak pool, and their best weak SINRs come
+from one row-wise golden section over p1 in [Gamma, P]
+(maximize_gamma2_batch, the scalar search's recurrence on arrays).  Several
+targets run in lockstep, cluster by cluster: each keeps its own pairing
+state, and one search covers the candidates of all of them, with Gamma
+given per row.  Only each target's winner goes through the scalar design
 (estimate_ici, project_complement, derive_params, optimize_p1), which
 builds its beams.
 """
@@ -178,7 +181,7 @@ def estimate_ici(
     return total
 
 
-def score_candidates(
+def candidate_reductions(
     H: np.ndarray,
     eps_sq: np.ndarray,
     h1: np.ndarray,
@@ -187,16 +190,17 @@ def score_candidates(
     designed: list[np.ndarray],
     pending_w_hat: list[np.ndarray],
     P: float,
-    Gamma: float,
-) -> np.ndarray:
-    """Best weak SINR of every candidate row of H paired with strong channel
-    h1 in this cluster; -inf marks candidates that would invert the ordering.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mask of candidate rows of H paired with strong channel
+    h1 in this cluster that keep the strong/weak ordering (the rows it drops
+    are skipped), and lambda2 and theta of the rows it keeps.
 
     Per row this is what the scalar design computes: the estimate_ici
     estimate (designed beams, plus pending clusters at full power P), the
-    channel projected off the basis, the reductions lambda2 and theta, and
-    the maximum over p1 of the user-2 SINR at the normalized target that
-    derive_params gives.  Values agree with optimize_p1's gamma2_star to
+    channel projected off the basis and its reductions.  A row's values do
+    not depend on the other rows.  The best weak SINR of a kept row is
+    maximize_gamma2_batch of its reductions at the normalized target that
+    derive_params gives, which agrees with optimize_p1's gamma2_star to
     round-off.
     """
     sig_hat = eps_sq.copy()  # summed in estimate_ici's order
@@ -210,15 +214,7 @@ def score_candidates(
     lam1 = n1 / sigma1_sq
     ok = (g_norm_sq > 0.0) & (g_norm_sq / sig_hat <= lam1)
     theta = np.abs(_vdot_rows(h1, g_eff[ok])) ** 2 / (n1 * g_norm_sq[ok])
-    scores = np.full(len(H), -np.inf)
-    scores[ok] = maximize_gamma2_batch(
-        lam1,
-        g_norm_sq[ok] / sig_hat[ok],
-        np.clip(theta, 0.0, 1.0),
-        min(Gamma * lam1 / lam1, P),
-        P,
-    )
-    return scores
+    return ok, g_norm_sq[ok] / sig_hat[ok], np.clip(theta, 0.0, 1.0)
 
 
 ZFSelection = tuple[list[User], list[OrthonormalBasis], list[np.ndarray]]
@@ -247,76 +243,115 @@ def zf_select(users: list[User], cfg: SUSConfig) -> ZFSelection:
 def schedule(
     pool: UserPool, strong: ZFSelection, P_T: float, Gamma: float
 ) -> SchedulerOutput:
-    """Full scheduling pass: weak pairing and beams for the strong users
-    selected and zero-forced by strong = zf_select(pool.strong, cfg), which
-    the caller computes once and may share across targets.
+    """Full scheduling pass at one target: schedule_targets(pool, strong,
+    P_T, [Gamma])[0]."""
+    return schedule_targets(pool, strong, P_T, [Gamma])[0]
+
+
+def schedule_targets(
+    pool: UserPool, strong: ZFSelection, P_T: float, gammas: list[float]
+) -> list[SchedulerOutput]:
+    """Full scheduling passes, one per target Gamma in gammas: weak pairing
+    and beams for the strong users selected and zero-forced by
+    strong = zf_select(pool.strong, cfg), which the caller computes once and
+    may share across calls.
 
     Candidates whose effective channel quality would invert the
     strong/weak ordering are skipped; a cluster with no eligible candidate
     is served single-user at full cluster power (flagged in its plan).
+
+    The targets are scheduled in lockstep, cluster by cluster.  Each keeps
+    its own unpaired rows, designed beams and plans, and so its own
+    candidate reductions; the valid rows of all targets are stacked into one
+    maximize_gamma2_batch call, with Gamma given per row.  Row by row that
+    search is the single-target one, so every output equals the output of
+    a pass at its target alone.  Every target is checked before any is
+    scheduled.
     """
     sel_users, bases, h_eff = strong
     Kc = len(sel_users)
     if len(pool.weak) < Kc:
         raise ValueError(f"weak pool ({len(pool.weak)}) smaller than Kc ({Kc})")
     P = P_T / Kc
-    if Gamma < 0 or Gamma > P * (1.0 + 1e-12):
-        raise InfeasibleTargetError(
-            f"Gamma={Gamma:.6g} outside [0, P_T/Kc={P:.6g}]"
-        )
+    for Gamma in gammas:
+        if Gamma < 0 or Gamma > P * (1.0 + 1e-12):
+            raise InfeasibleTargetError(
+                f"Gamma={Gamma:.6g} outside [0, P_T/Kc={P:.6g}]"
+            )
+    if not gammas:
+        return []
     w_hat = [he / np.linalg.norm(he) for he in h_eff]
 
     weak = sorted(pool.weak, key=lambda u: u.uid)
     H = np.array([u.h for u in weak])
     eps = np.array([u.eps_sq for u in weak])
-    left = np.arange(len(weak))  # rows of H not yet paired, in uid order
-    W1: list[np.ndarray] = []
-    W2: list[np.ndarray] = []
-    plans: list[ClusterPlan] = []
+    # per target: rows of H not yet paired (in uid order), designed beams, plans
+    left = [np.arange(len(weak))] * len(gammas)
+    W1: list[list[np.ndarray]] = [[] for _ in gammas]
+    W2: list[list[np.ndarray]] = [[] for _ in gammas]
+    plans: list[list[ClusterPlan]] = [[] for _ in gammas]
     for k in range(Kc):
         pending = w_hat[k + 1 :]
         eps1 = sel_users[k].eps_sq  # zero-forced: strong user sees AWGN only
         lam1 = float(np.vdot(h_eff[k], h_eff[k]).real) / eps1
-        scores = score_candidates(
-            H[left], eps[left], h_eff[k], eps1, bases[k], W1 + W2, pending, P, Gamma
-        )
-        j = int(np.argmax(scores))  # the first maximum: ties go to the lowest uid
-        if scores[j] == -np.inf:  # every candidate would invert the ordering
-            weak_id = g_eff = sig_hat = sol = None
-            w1 = math.sqrt(P) * w_hat[k]
-            w2 = np.zeros_like(w1)
-        else:
-            u = weak[left[j]]
-            left = np.delete(left, j)
-            weak_id = u.uid
-            sig_hat = estimate_ici(u.h, u.eps_sq, W1, W2, pending, P)
-            g_eff = project_complement(u.h, bases[k])
-            ch = TwoUserChannel(h_eff[k], g_eff, eps1, sig_hat, P)
-            sol = optimize_p1(ch, derive_params(ch, Gamma * lam1))
-            w1, w2 = sol.w1_scaled, sol.w2_scaled
-        plans.append(
-            ClusterPlan(
-                strong_id=sel_users[k].uid,
-                weak_id=weak_id,
-                h1_eff=h_eff[k],
-                h2_eff=g_eff,
-                sigma1_sq=eps1,
-                sigma_hat_u_sq=sig_hat,
-                solution=sol,
-                w1_tilde=w1,
-                w2_tilde=w2,
-                single_user=weak_id is None,
+        oks, lam2s, thetas = zip(
+            *(
+                candidate_reductions(H[r], eps[r], h_eff[k], eps1, bases[k], w1 + w2, pending, P)
+                for r, w1, w2 in zip(left, W1, W2)
             )
         )
-        W1.append(w1)
-        W2.append(w2)
+        counts = [len(lam2) for lam2 in lam2s]
+        best = maximize_gamma2_batch(
+            lam1,
+            np.concatenate(lam2s),
+            np.concatenate(thetas),
+            np.repeat([min(g * lam1 / lam1, P) for g in gammas], counts),
+            P,
+        )
+        parts = np.split(best, np.cumsum(counts)[:-1])
+        for t, (Gamma, ok, part) in enumerate(zip(gammas, oks, parts)):
+            scores = np.full(len(ok), -np.inf)
+            scores[ok] = part
+            j = int(np.argmax(scores))  # the first maximum: ties go to the lowest uid
+            if scores[j] == -np.inf:  # every candidate would invert the ordering
+                weak_id = g_eff = sig_hat = sol = None
+                w1 = math.sqrt(P) * w_hat[k]
+                w2 = np.zeros_like(w1)
+            else:
+                u = weak[left[t][j]]
+                left[t] = np.delete(left[t], j)
+                weak_id = u.uid
+                sig_hat = estimate_ici(u.h, u.eps_sq, W1[t], W2[t], pending, P)
+                g_eff = project_complement(u.h, bases[k])
+                ch = TwoUserChannel(h_eff[k], g_eff, eps1, sig_hat, P)
+                sol = optimize_p1(ch, derive_params(ch, Gamma * lam1))
+                w1, w2 = sol.w1_scaled, sol.w2_scaled
+            plans[t].append(
+                ClusterPlan(
+                    strong_id=sel_users[k].uid,
+                    weak_id=weak_id,
+                    h1_eff=h_eff[k],
+                    h2_eff=g_eff,
+                    sigma1_sq=eps1,
+                    sigma_hat_u_sq=sig_hat,
+                    solution=sol,
+                    w1_tilde=w1,
+                    w2_tilde=w2,
+                    single_user=weak_id is None,
+                )
+            )
+            W1[t].append(w1)
+            W2[t].append(w2)
 
-    out = SchedulerOutput(clusters=plans, Kc=Kc, P=P)
-    rates = dict(realized_rates(out, pool))
-    out.realized_rates = [
-        (rates[plan.strong_id], rates.get(plan.weak_id, 0.0)) for plan in plans
-    ]
-    return out
+    outs = []
+    for target_plans in plans:
+        out = SchedulerOutput(clusters=target_plans, Kc=Kc, P=P)
+        rates = dict(realized_rates(out, pool))
+        out.realized_rates = [
+            (rates[plan.strong_id], rates.get(plan.weak_id, 0.0)) for plan in target_plans
+        ]
+        outs.append(out)
+    return outs
 
 
 def realized_rates(output: SchedulerOutput, pool: UserPool) -> list[tuple[int, float]]:

@@ -21,8 +21,10 @@ from .scheduler import (
     UserPool,
     baseline_sus_zf,
     schedule,
+    schedule_targets,
     zf_select,
 )
+from .two_user_core import InfeasibleTargetError
 
 
 @dataclass
@@ -157,13 +159,22 @@ def run_trial_sweep(cfg: SimConfig, trial_id: int, gammas: list[float]) -> list[
     """run_trial(cfg, trial_id, gamma=g)[0] for each g in gammas.
 
     The channels are drawn and the ZF baseline computed once, by run_trial
-    at the first target; every further target reschedules that pool with
-    one shared SUS+ZF selection of its strong users.
+    at the first target; every further target is scheduled on that pool by
+    one schedule_targets call, with one shared SUS+ZF selection of its
+    strong users.  Every target is checked before any work is done: an
+    empty list raises ValueError, and a target outside [0, P_T/Nt], the
+    range that every draw can meet, raises InfeasibleTargetError.
     """
+    if not gammas:
+        raise ValueError("gammas must hold at least one target")
+    P = cfg.p_total / cfg.nt  # the cluster power when all Nt clusters form
+    for g in gammas:
+        if g < 0 or g > P * (1.0 + 1e-12):
+            raise InfeasibleTargetError(f"Gamma={g:.6g} outside [0, P_T/Nt={P:.6g}]")
     rec, _, pool = run_trial(cfg, trial_id, gamma=gammas[0])
     strong = zf_select(pool.strong, SUSConfig(target_count=cfg.nt, delta=cfg.delta))
     baseline = astuple(rec)[-3:]  # the last three fields do not depend on the target
-    outs = (schedule(pool, strong, cfg.p_total, g) for g in gammas[1:])
+    outs = schedule_targets(pool, strong, cfg.p_total, gammas[1:])
     return [rec] + [TrialRecord(trial_id, *_noma_rates(o), *baseline) for o in outs]
 
 

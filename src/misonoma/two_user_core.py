@@ -333,34 +333,49 @@ def gamma2_of_p1(
     return gamma2, tag
 
 
-def _gamma2_pointwise_vec(p1, lam1, lam2, th, G, P):
-    """select_case's gamma2 on arrays: the array form of the rule, for the
-    batched candidate search and the grid scans that check it (numpy costs
-    more than math per scalar evaluation).  The reductions lambda1, lambda2,
-    theta, Gamma and P are scalars or arrays that broadcast against p1."""
-    p1 = np.asarray(p1, dtype=float)
-    ratio = np.minimum(np.divide(G, p1, out=np.zeros_like(p1), where=p1 > 0), 1.0)
-    a1 = np.where(
-        ratio <= 1.0 - th,
-        0.0,
-        np.sqrt(th * ratio) - np.sqrt((1.0 - th) * (1.0 - ratio)),
-    )
-    rem = np.maximum(P - p1, 0.0)
-    den = lam2 * p1 * a1 * a1 + 1.0
-    a2_ = rem * lam1 / (1.0 + G * lam1)  # a^2
-    b2_ = rem * lam2 * th / den
-    c2_ = rem * lam2 * (1.0 - th) / den
-    a_ = np.sqrt(a2_)
-    b_ = np.sqrt(b2_)
-    case1 = a_ <= b_
-    with np.errstate(divide="ignore", invalid="ignore"):
+def _gamma2_vec(lam1, lam2, th, G, P):
+    """select_case's gamma2 on arrays, as a function of p1: the array form
+    of the rule, for the batched candidate search and the grid scans that
+    check it (numpy costs more than math per scalar evaluation).  The
+    reductions lambda1, lambda2, theta, Gamma and P are scalars or arrays
+    that broadcast against p1; the terms that do not depend on p1 are
+    computed once here, not once per evaluation.  Evaluate it under
+    np.errstate(divide="ignore", invalid="ignore"): the crossing and the
+    case-3 test divide by terms that can be 0 on rows that do not use them.
+    """
+    one_th = 1.0 - th
+    den1 = 1.0 + G * lam1
+
+    def f(p1):
+        ratio = np.minimum(np.divide(G, p1, out=np.zeros_like(p1), where=p1 > 0), 1.0)
+        a1 = np.where(
+            ratio <= one_th,
+            0.0,
+            np.sqrt(th * ratio) - np.sqrt(one_th * (1.0 - ratio)),
+        )
+        rem = np.maximum(P - p1, 0.0)
+        den = lam2 * p1 * a1 * a1 + 1.0
+        a2_ = rem * lam1 / den1  # a^2
+        b2_ = rem * lam2 * th / den
+        c2_ = rem * lam2 * one_th / den
+        a_ = np.sqrt(a2_)
+        b_ = np.sqrt(b2_)
+        case1 = a_ <= b_
         # the ratio first: a^2 * c^2 overflows long before the result does
         crossing = a2_ * (c2_ / (c2_ + (a_ - b_) ** 2))
         # select_case's test a > b + c^2/b; multiplied through by b it
         # misreads a == b, c = 0 (aligned equal-quality channels) as case 2
         case3 = (~case1) & (b_ > 0.0) & (a_ > b_ + c2_ / b_)
-    crossing = np.where(c2_ + (a_ - b_) ** 2 > 0.0, crossing, a2_)
-    return np.where(case1, a2_, np.where(case3, b2_ + c2_, crossing))
+        crossing = np.where(c2_ + (a_ - b_) ** 2 > 0.0, crossing, a2_)
+        return np.where(case1, a2_, np.where(case3, b2_ + c2_, crossing))
+
+    return f
+
+
+def _gamma2_pointwise_vec(p1, lam1, lam2, th, G, P):
+    """_gamma2_vec(lam1, lam2, th, G, P) evaluated once, at the points p1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _gamma2_vec(lam1, lam2, th, G, P)(np.asarray(p1, dtype=float))
 
 
 def _grid_golden_max(f, grid_values, G: float, P: float) -> tuple[float, float]:
@@ -405,22 +420,23 @@ def maximize_gamma2_over_p1(
 
 
 def maximize_gamma2_batch(
-    lam1: float, lam2: np.ndarray, theta: np.ndarray, Gamma: float, P: float
+    lam1: float, lam2: np.ndarray, theta: np.ndarray, Gamma, P: float
 ) -> np.ndarray:
     """max of the user-2 SINR over p1 in [Gamma, P] for many instances that
-    share lambda1, Gamma and P; lam2 and theta hold one entry per instance.
+    share lambda1 and P; lam2 and theta hold one entry per instance, and the
+    normalized target Gamma is a scalar or one entry per instance (the
+    scheduler stacks the candidates of several targets in one call).
 
     Row by row this is maximize_gamma2_over_p1's search on arrays: the same
-    golden-section recurrence over [Gamma, P] and the same endpoint.  The
-    values agree with the scalar search to round-off.
+    golden-section recurrence over [Gamma, P], run for that row's own step
+    count, and the same endpoint.  The values agree with the scalar search
+    to round-off.
     """
-
-    def f(p1):
-        return _gamma2_pointwise_vec(p1, lam1, lam2, theta, Gamma, P)
-
-    ends = np.full(lam2.shape, float(Gamma))
-    _, best = vector_golden_section_max(f, ends, np.full(lam2.shape, float(P)), P1_XTOL)
-    return np.maximum(best, f(ends))
+    ends = np.zeros(lam2.shape) + Gamma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = _gamma2_vec(lam1, lam2, theta, Gamma, P)
+        _, best = vector_golden_section_max(f, ends, np.full(lam2.shape, float(P)), P1_XTOL)
+        return np.maximum(best, f(ends))
 
 
 @dataclass

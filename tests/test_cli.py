@@ -207,15 +207,17 @@ def test_unknown_config_key_rejected(tmp_path):
     assert not out.exists()
 
 
-def test_infeasible_gamma_exit_code(tmp_path):
-    rc = main(
-        [
-            "schedule-sim",
-            "--k", "8", "--trials", "1", "--gamma", "99",
-            "--out", str(tmp_path / "x.csv"),
-        ]
-    )
-    assert rc == 3
+def test_infeasible_gamma_exit_code(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for argv in (
+        ["schedule-sim", "--k", "8", "--trials", "1", "--gamma", "99"],
+        # P_T/Nt = 5 at the default 10 dB and Nt = 2
+        ["gamma-sweep", "--k", "8", "--trials", "1", "--gamma-max", "5.5"],
+        ["gamma-sweep", "--k", "8", "--trials", "1", "--gamma-min", "-1"],
+    ):
+        assert main(argv + ["--out", str(out)]) == 3, argv
+        assert "Gamma=" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_flag_exit_code(tmp_path, capsys):

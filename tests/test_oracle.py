@@ -77,13 +77,15 @@ def test_result_point_is_feasible():
 
 def test_vector_golden_matches_scalar_golden():
     # one bracket per row; maxima inside the brackets and at their edges.
-    # Every row but the third has the widest bracket, so it runs exactly the
-    # scalar recurrence; the third runs more shrinks than the scalar needs.
-    lo = np.array([0.0, 2.0, 0.2, 0.0, 0.0])
-    hi = np.array([1.0, 3.0, 0.9, 1.0, 1.0])
-    peak = np.array([0.3, 2.5, 0.2, 0.0, 1.0])
-    slope = np.array([0.5, 2.0, 10.0, 1e-3, 1e3])
-    widest = hi - lo == (hi - lo).max()
+    # Rows have different widths, each row runs its own step count, and
+    # every row must equal the scalar search bitwise: the third row is
+    # narrower, the sixth has width 0 and the seventh a width below xtol,
+    # where the scalar search returns the midpoint.
+    xtol = 1e-12
+    lo = np.array([0.0, 2.0, 0.2, 0.0, 0.0, 0.4, 0.7])
+    hi = np.array([1.0, 3.0, 0.9, 1.0, 1.0, 0.4, 0.7 + 0.5 * xtol])
+    peak = np.array([0.3, 2.5, 0.2, 0.0, 1.0, 0.1, 0.9])
+    slope = np.array([0.5, 2.0, 10.0, 1e-3, 1e3, 1.0, 1.0])
 
     def unimodal(x, row=slice(None)):
         return -(x - peak[row]) * (x - peak[row])
@@ -93,13 +95,12 @@ def test_vector_golden_matches_scalar_golden():
         return np.minimum(slope[row] * x, np.sqrt(np.clip(1.0 - x * x, 0.0, None)))
 
     for f in (unimodal, kinked):
-        x_vec, y_vec = vector_golden_section_max(f, lo, hi, xtol=1e-12)
-        for i in range(lo.size):
-            x, y = golden_section_max(
-                lambda t: float(f(t, i)), float(lo[i]), float(hi[i]), xtol=1e-12
+        for rows in (slice(None), [0, 3, 4], [2, 5], [5, 6]):
+            x_vec, y_vec = vector_golden_section_max(
+                lambda x: f(x, rows), lo[rows], hi[rows], xtol=xtol
             )
-            if widest[i]:
-                assert x_vec[i] == x and y_vec[i] == y
-            else:
-                assert x_vec[i] == pytest.approx(x, abs=1e-9)
-                assert y_vec[i] == pytest.approx(y, rel=1e-9)
+            for k, i in enumerate(np.arange(lo.size)[rows]):
+                x, y = golden_section_max(
+                    lambda t: float(f(t, i)), float(lo[i]), float(hi[i]), xtol=xtol
+                )
+                assert x_vec[k] == x and y_vec[k] == y

@@ -11,10 +11,11 @@ from misonoma.scheduler import (
     User,
     UserPool,
     baseline_sus_zf,
+    candidate_reductions,
     estimate_ici,
     realized_rates,
     schedule,
-    score_candidates,
+    schedule_targets,
     sus_select,
     zf_select,
 )
@@ -83,7 +84,7 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
     """The per-candidate scheduler, rebuilt from public functions: every
     remaining weak candidate gets the full scalar design and the strictly
     best gamma2_star wins.  Each cluster's skipped uids are returned next to
-    the uids that score_candidates marks -inf in the same state."""
+    the uids that candidate_reductions drops in the same state."""
     sel_users = [pool.strong[i] for i in sus_select([u.h for u in pool.strong], cfg)]
     Kc = len(sel_users)
     P = P_T / Kc
@@ -111,7 +112,7 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
             sol = optimize_p1(ch, derive_params(ch, Gamma * lam1))
             if best is None or sol.gamma2_star > best[1].gamma2_star:
                 best = (u, sol, sig_hat, g_eff)
-        scores = score_candidates(
+        ok, _, _ = candidate_reductions(
             np.array([u.h for u in remaining]),
             np.array([u.eps_sq for u in remaining]),
             h_eff[k],
@@ -120,9 +121,8 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
             W1 + W2,
             pending,
             P,
-            Gamma,
         )
-        skips.append((skipped, {u.uid for u, s in zip(remaining, scores) if s == -np.inf}))
+        skips.append((skipped, {u.uid for u, keep in zip(remaining, ok) if not keep}))
         if best is None:
             w1 = math.sqrt(P) * w_hat[k]
             w2, weak_id, g_eff, sig_hat, sol = np.zeros_like(w1), None, None, None, None
@@ -442,6 +442,54 @@ class TestSchedule:
                 (ref_rates[p.strong_id], ref_rates.get(p.weak_id, 0.0)) for p in ref.clusters
             ]
         assert covers <= seen
+
+    @pytest.mark.parametrize(
+        "nt, k_users, weak_var, seeds, covers",
+        [
+            (2, 40, 0.01, range(12), set()),
+            (4, 200, 0.01, range(3), set()),
+            # tiny pools of equal-variance users, where clusters fall back
+            (2, 4, 1.0, range(30), {"single_user"}),
+        ],
+    )
+    def test_lockstep_targets_match_one_target_passes(
+        self, nt, k_users, weak_var, seeds, covers
+    ):
+        # the targets include 0, P and just below P, a duplicate, and are
+        # not sorted; every output must equal a pass at its target alone
+        seen = set()
+        for seed in seeds:
+            cfg = SimConfig(nt=nt, k_users=k_users, pt_db=10.0, sigma_h2_sq=weak_var, seed=seed)
+            pool = generate_channels(cfg, np.random.default_rng(seed))
+            strong = zf_select(pool.strong, SUSConfig(nt, cfg.delta))
+            P = cfg.p_total / len(strong[0])
+            gammas = [0.6 * P, 0.0, P, P - 1e-11, 0.2 * P, 0.6 * P, 0.9 * P]
+            outs = schedule_targets(pool, strong, cfg.p_total, gammas)
+            assert len(outs) == len(gammas)
+            for Gamma, out in zip(gammas, outs):
+                ref = schedule(pool, strong, cfg.p_total, Gamma)
+                assert (out.Kc, out.P) == (ref.Kc, ref.P)
+                assert [(p.strong_id, p.weak_id) for p in out.clusters] == [
+                    (p.strong_id, p.weak_id) for p in ref.clusters
+                ]
+                for got, want in zip(out.clusters, ref.clusters):
+                    assert got.single_user == want.single_user
+                    assert got.sigma_hat_u_sq == want.sigma_hat_u_sq
+                    assert got.w1_tilde.tobytes() == want.w1_tilde.tobytes()
+                    assert got.w2_tilde.tobytes() == want.w2_tilde.tobytes()
+                    seen |= {"single_user"} if want.single_user else set()
+                assert out.realized_rates == ref.realized_rates
+        assert covers <= seen
+
+    def test_targets_checked_before_scheduling(self):
+        rng = np.random.default_rng(5)
+        pool = _pool(rng, 2, 6, 6)
+        strong = zf_select(pool.strong, SUSConfig(2, 0.6))
+        with pytest.raises(InfeasibleTargetError, match="Gamma=50"):
+            schedule_targets(pool, strong, 10.0, [0.5, 1.0, 50.0])
+        with pytest.raises(InfeasibleTargetError, match="Gamma=-1"):
+            schedule_targets(pool, strong, 10.0, [-1.0, 0.5])
+        assert schedule_targets(pool, strong, 10.0, []) == []
 
     def test_tie_goes_to_lowest_uid(self):
         # identical weak channels score identically; the lower uid is listed

@@ -4,13 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from misonoma import simulation
 from misonoma.simulation import (
     SimConfig,
     aggregate_means,
     generate_channels,
     run_monte_carlo,
     run_trial,
+    run_trial_sweep,
 )
+from misonoma.two_user_core import InfeasibleTargetError
 
 
 def test_config_validation(tmp_path):
@@ -98,6 +101,31 @@ def test_run_trial_reproducible():
     r1, _, _ = run_trial(cfg, 0)
     r2, _, _ = run_trial(cfg, 0)
     assert r1 == r2
+
+
+def test_run_trial_sweep_matches_run_trial():
+    # P_T/Nt = 5: the targets include both ends, a duplicate and are unsorted
+    cfg = SimConfig(nt=2, k_users=12, pt_db=10.0, seed=3)
+    gammas = [2.0, 0.0, 5.0, 1.0, 2.0]
+    for t in range(3):
+        want = [run_trial(cfg, t, gamma=g)[0] for g in gammas]
+        assert run_trial_sweep(cfg, t, gammas) == want
+        assert run_trial_sweep(cfg, t, gammas[:1]) == want[:1]
+
+
+def test_run_trial_sweep_checks_targets_first(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("channels drawn before the targets were checked")
+
+    monkeypatch.setattr(simulation, "generate_channels", no_work)
+    cfg = SimConfig(nt=2, k_users=12, pt_db=10.0, seed=3)
+    with pytest.raises(ValueError, match="at least one target"):
+        run_trial_sweep(cfg, 0, [])
+    # P_T/Nt = 5: the third target is infeasible and must be named
+    with pytest.raises(InfeasibleTargetError, match="Gamma=7.5"):
+        run_trial_sweep(cfg, 0, [1.0, 2.0, 7.5, 3.0])
+    with pytest.raises(InfeasibleTargetError, match="Gamma=-0.5"):
+        run_trial_sweep(cfg, 0, [1.0, -0.5])
 
 
 def test_run_monte_carlo_records_and_means():

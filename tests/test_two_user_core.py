@@ -271,6 +271,22 @@ class TestGamma2OfP1:
             ]
             np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-15)
 
+    def test_batch_with_per_row_targets_matches_one_call_per_target(self):
+        # rows of several targets in one call, Gamma per row: each row runs
+        # its own step count, so the stacked call equals one call per
+        # target bitwise; targets at 0, P, just below P and duplicated
+        rng = np.random.default_rng(29)
+        lam1, P = 12.0, 3.0
+        gammas = [0.4 * P, 0.0, P, P - 1e-11, 0.9 * P, 0.4 * P]
+        rows = [rng.integers(1, 6) for _ in gammas]
+        lam2 = [lam1 * rng.uniform(1e-6, 1.0, n) for n in rows]
+        theta = [rng.uniform(0.0, 1.0, n) for n in rows]
+        stacked = maximize_gamma2_batch(
+            lam1, np.concatenate(lam2), np.concatenate(theta), np.repeat(gammas, rows), P
+        )
+        each = [maximize_gamma2_batch(lam1, l2, th, g, P) for l2, th, g in zip(lam2, theta, gammas)]
+        assert stacked.tobytes() == np.concatenate(each).tobytes()
+
     def test_grid_free_search_differential(self):
         """The grid-free search, row-wise and scalar, is never below the
         grid-then-golden reference (_grid_golden_max) nor a 4096-point scan,
