@@ -139,6 +139,11 @@ def cmd_gamma_sweep(args) -> int:
     """
     cfg = _sim_config(args)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.gamma_points)
+    if args.gamma_max > cfg.p_total / cfg.nt * (1.0 + 1e-12):
+        raise InfeasibleTargetError(
+            f"gamma-max {args.gamma_max:.6g} can exceed the per-cluster power "
+            f"P_T/Nt = {cfg.p_total / cfg.nt:.6g}"
+        )
     grid = [float(g) for g in gammas]
     per_trial = [run_trial_sweep(cfg, t, grid) for t in range(cfg.trials)]
     rows = []

@@ -58,8 +58,7 @@ def vector_golden_section_max(f, lo: np.ndarray, hi: np.ndarray, xtol: float):
     row of width <= xtol returns its midpoint; so on every row (x, f(x))
     equals the scalar result bitwise whenever f does.  f is evaluated on
     whole arrays, so a row that has finished rides along through the later
-    shrinks and its result is the one taken when it finished.  When all
-    rows share one width, nothing is masked.
+    shrinks and its result is the one taken when it finished.
     """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
@@ -70,19 +69,15 @@ def vector_golden_section_max(f, lo: np.ndarray, hi: np.ndarray, xtol: float):
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     # stops: step count -> the rows that stop there; every row takes the
-    # result of the first stop unless a later one overwrites it, so one
-    # shared width needs no mask
-    if h.min() == h.max():
-        stops = {golden_steps(float(h.flat[0]), xtol) - 1: None}
-    else:
-        widths, at = np.unique(h, return_inverse=True)
-        steps = np.array([golden_steps(w, xtol) - 1 if w > xtol else 0 for w in widths.tolist()])
-        steps = steps[at.reshape(h.shape)]
-        stops = {n: steps == n for n in set(steps.tolist())}
-        tiny = h <= xtol
-        if tiny.any():  # c = d = the midpoint, which their stop at step 0 picks
-            c = np.where(tiny, 0.5 * (a + b), c)
-            d = np.where(tiny, c, d)
+    # result of the first stop unless a later one overwrites it
+    widths, at = np.unique(h, return_inverse=True)
+    steps = np.array([golden_steps(w, xtol) - 1 if w > xtol else 0 for w in widths.tolist()])
+    steps = steps[at.reshape(h.shape)]
+    stops = {n: steps == n for n in set(steps.tolist())}
+    tiny = h <= xtol
+    if tiny.any():  # c = d = the midpoint, which their stop at step 0 picks
+        c = np.where(tiny, 0.5 * (a + b), c)
+        d = np.where(tiny, c, d)
     yc = f(c)
     yd = f(d)
     x_out = y_out = None

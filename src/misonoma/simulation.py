@@ -161,16 +161,16 @@ def run_trial_sweep(cfg: SimConfig, trial_id: int, gammas: list[float]) -> list[
     The channels are drawn and the ZF baseline computed once, by run_trial
     at the first target; every further target is scheduled on that pool by
     one schedule_targets call, with one shared SUS+ZF selection of its
-    strong users.  Every target is checked before any work is done: an
-    empty list raises ValueError, and a target outside [0, P_T/Nt], the
-    range that every draw can meet, raises InfeasibleTargetError.
+    strong users.  An empty list raises ValueError, and a target outside
+    [0, P_T], which no draw can meet, raises InfeasibleTargetError before
+    any channel is drawn.  A target above the draw's own bound P_T/Kc
+    raises InfeasibleTargetError, as run_trial does, once the draw fixes Kc.
     """
     if not gammas:
         raise ValueError("gammas must hold at least one target")
-    P = cfg.p_total / cfg.nt  # the cluster power when all Nt clusters form
     for g in gammas:
-        if g < 0 or g > P * (1.0 + 1e-12):
-            raise InfeasibleTargetError(f"Gamma={g:.6g} outside [0, P_T/Nt={P:.6g}]")
+        if g < 0 or g > cfg.p_total * (1.0 + 1e-12):
+            raise InfeasibleTargetError(f"Gamma={g:.6g} outside [0, P_T={cfg.p_total:.6g}]")
     rec, _, pool = run_trial(cfg, trial_id, gamma=gammas[0])
     strong = zf_select(pool.strong, SUSConfig(target_count=cfg.nt, delta=cfg.delta))
     baseline = astuple(rec)[-3:]  # the last three fields do not depend on the target

@@ -372,12 +372,6 @@ def _gamma2_vec(lam1, lam2, th, G, P):
     return f
 
 
-def _gamma2_pointwise_vec(p1, lam1, lam2, th, G, P):
-    """_gamma2_vec(lam1, lam2, th, G, P) evaluated once, at the points p1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _gamma2_vec(lam1, lam2, th, G, P)(np.asarray(p1, dtype=float))
-
-
 def _grid_golden_max(f, grid_values, G: float, P: float) -> tuple[float, float]:
     """argmax/max of f over p1 in [Gamma, P]: grid, bracket, golden section.
 

@@ -121,11 +121,24 @@ def test_run_trial_sweep_checks_targets_first(monkeypatch):
     cfg = SimConfig(nt=2, k_users=12, pt_db=10.0, seed=3)
     with pytest.raises(ValueError, match="at least one target"):
         run_trial_sweep(cfg, 0, [])
-    # P_T/Nt = 5: the third target is infeasible and must be named
-    with pytest.raises(InfeasibleTargetError, match="Gamma=7.5"):
-        run_trial_sweep(cfg, 0, [1.0, 2.0, 7.5, 3.0])
+    # P_T = 10: the third target is infeasible on every draw and must be named
+    with pytest.raises(InfeasibleTargetError, match="Gamma=12.5"):
+        run_trial_sweep(cfg, 0, [1.0, 2.0, 12.5, 3.0])
     with pytest.raises(InfeasibleTargetError, match="Gamma=-0.5"):
         run_trial_sweep(cfg, 0, [1.0, -0.5])
+
+
+def test_run_trial_sweep_follows_the_draws_bound():
+    # Nt = 4, P_T = 10: SUS selects Kc = 1 strong user on trial 0 and Kc = 2
+    # on trial 1, so the bound P_T/Kc is 10 and 5 there, above P_T/Nt = 2.5
+    cfg = SimConfig(nt=4, k_users=8, pt_db=10.0, seed=3)
+    gammas = [1.0, 4.0, 7.5]
+    assert [run_trial(cfg, t, gamma=1.0)[1].Kc for t in (0, 1)] == [1, 2]
+    assert run_trial_sweep(cfg, 0, gammas) == [run_trial(cfg, 0, gamma=g)[0] for g in gammas]
+    with pytest.raises(InfeasibleTargetError, match="Gamma=7.5"):
+        run_trial(cfg, 1, gamma=7.5)
+    with pytest.raises(InfeasibleTargetError, match="Gamma=7.5"):
+        run_trial_sweep(cfg, 1, gammas)
 
 
 def test_run_monte_carlo_records_and_means():

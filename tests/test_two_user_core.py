@@ -13,7 +13,7 @@ from misonoma.two_user_core import (
     InfeasibleTargetError,
     OptRegion,
     TwoUserChannel,
-    _gamma2_pointwise_vec,
+    _gamma2_vec,
     _grid_golden_max,
     achieved_gamma2,
     achieved_user1_sinr,
@@ -38,6 +38,12 @@ FIG2 = dict(lambda1=20.0, lambda2=3.0, theta=0.5, P=2.0)
 
 def fig2_channel():
     return channel_from_quality(**FIG2)
+
+
+def _gamma2_at(p1, lam1, lam2, th, G, P):
+    """The array p1 rule _gamma2_vec(lam1, lam2, th, G, P), evaluated once at p1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _gamma2_vec(lam1, lam2, th, G, P)(np.asarray(p1, dtype=float))
 
 
 def _min_alpha1_by_grid(theta, Gamma, p1, n=2_000_001):
@@ -214,7 +220,7 @@ class TestGamma2OfP1:
             scalar = [gamma2_of_p1(float(p), ch, params)[0] for p in grid]
             lam1, lam2, th, G = params.lambda1, params.lambda2, params.theta, params.Gamma
             np.testing.assert_allclose(
-                _gamma2_pointwise_vec(grid, lam1, lam2, th, G, ch.P),
+                _gamma2_at(grid, lam1, lam2, th, G, ch.P),
                 scalar,
                 rtol=1e-12,
                 atol=1e-15,
@@ -228,7 +234,7 @@ class TestGamma2OfP1:
         ]
         P = np.array([[ch.P] for ch, _ in instances])
         np.testing.assert_allclose(
-            _gamma2_pointwise_vec(np.array(grids), *cols, P),
+            _gamma2_at(np.array(grids), *cols, P),
             np.array(scalars),
             rtol=1e-12,
             atol=1e-15,
@@ -311,8 +317,8 @@ class TestGamma2OfP1:
                 [u < 0.1, u < 0.2], [1e-9, 1.0], np.exp(rng.uniform(math.log(1e-9), 0.0, rows))
             )
             cols = (lam2[:, None], theta[:, None])
-            scan = _gamma2_pointwise_vec(np.linspace(G, P, 4096), lam1, *cols, G, P)
-            grid = _gamma2_pointwise_vec(np.linspace(G, P, P1_GRID), lam1, *cols, G, P)
+            scan = _gamma2_at(np.linspace(G, P, 4096), lam1, *cols, G, P)
+            grid = _gamma2_at(np.linspace(G, P, P1_GRID), lam1, *cols, G, P)
             ch = channel_from_quality(lam1, lam1, 1.0, P)  # gamma2_of_p1 reads only P
             new = maximize_gamma2_batch(lam1, lam2, theta, G, P)
             for j in range(rows):
