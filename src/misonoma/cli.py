@@ -30,8 +30,8 @@ from .two_user_core import (
     InfeasibleTargetError,
     channel_from_quality,
     derive_params,
-    fixed_power_design,
     optimize_p1,
+    pareto_boundary,
 )
 
 EXIT_OK = 0
@@ -84,26 +84,10 @@ def _sim_config(args) -> SimConfig:
 
 
 def cmd_pareto_boundary(args) -> int:
-    """Rate-region boundary: fixed unit powers versus power allocation.
-
-    Shares one target grid over [0, P]; the fixed-power column is nan where
-    the target exceeds what unit user-1 power can reach (Gamma > 1).
-    """
+    """Rate-region boundary: fixed unit powers versus power allocation
+    (two_user_core.pareto_boundary's rows)."""
     ch = channel_from_quality(args.lambda1, args.lambda2, args.theta, args.p_cluster)
-    lam1 = ch.lambda1
-    rows = []
-    for G in np.linspace(0.0, ch.P, args.points):
-        params = derive_params(ch, float(G) * lam1)
-        r1 = math.log2(1.0 + params.gamma1_star)
-        sol_pow = optimize_p1(ch, params)
-        r2_pow = math.log2(1.0 + sol_pow.gamma2_star)
-        if params.Gamma <= 1.0:
-            sol_fix = fixed_power_design(ch, params)
-            r2_fix = math.log2(1.0 + sol_fix.gamma2_star)
-        else:
-            r2_fix = math.nan
-        rows.append([r1, r2_fix, r2_pow])
-    write_csv(args.out, ["R1", "R2_fixed", "R2_power"], rows)
+    write_csv(args.out, ["R1", "R2_fixed", "R2_power"], pareto_boundary(ch, args.points))
     return EXIT_OK
 
 

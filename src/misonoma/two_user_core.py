@@ -17,10 +17,14 @@ component of the user's channel parallel/orthogonal to the other user's
 channel; user 2 always transmits at full remaining power while user 1 may
 back off.  For a fixed user-1 power p1, the inner problem has a three-case
 closed form; the outer problem over p1 is solved numerically, by one
-golden section over the whole of [Gamma, P] plus the endpoint p1 = Gamma,
-with a region test that predicts which case holds at the optimum.  The
-search needs no grid: no p1 curve with more than one local maximum turned
-up in 10^5 edge-weighted draws scanned at 4096 points each.
+golden section over the whole of [Gamma, P] plus the endpoint p1 = Gamma
+(classify_case predicts which case holds at the optimum).  The search needs
+no grid: no p1 curve with more than one local maximum turned up in 10^5
+edge-weighted draws scanned at 4096 points each.
+
+Each formula is written once: _alpha1 is the minimal user-1 weight, _coeffs
+the inner coefficients at powers (p1, p2), select_case the three-case rule,
+and _max_over_p1 the p1 search; _gamma2_vec is the array form of the rule.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from .golden import golden_section_max, vector_golden_section_max
 # Resolution of the p1 search over [Gamma, P].
 P1_XTOL = 1e-10
 
-# Grid density of _grid_golden_max, the grid-then-golden reference search
-# behind maximize_branch_gamma2.  The p1 search itself has no grid: multiple
+# Points of a p1 grid scan over [Gamma, P].  The search has no grid; this is
+# read by perfbench's trace metrics and by the tests' grid scans.  Multiple
 # local maxima are not ruled out analytically, but a probe of 10^5
 # edge-weighted p1 curves, each scanned at 4096 points, found none.
 P1_GRID = 512
@@ -87,7 +91,10 @@ class TwoUserChannel:
             raise ValueError("noise powers must be positive")
         if self.P <= 0:
             raise ValueError("cluster power P must be positive")
-        if self.lambda1 < self.lambda2 * (1.0 - 1e-9):
+        lam1, lam2 = self.lambda1, self.lambda2
+        if lam1 == 0.0 or lam2 == 0.0:
+            raise ValueError("h1 and h2 must be nonzero")
+        if lam1 < lam2 * (1.0 - 1e-9):
             raise ValueError(
                 "ordering violated: ||h1||^2/sigma1^2 must be >= ||h2||^2/sigma2^2"
             )
@@ -119,6 +126,9 @@ def channel_from_quality(
     h1 points along e1 with ||h1||^2 = lambda1*sigma1_sq; h2 lies in the
     e1/e2 plane at squared correlation theta to h1.
     """
+    for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
     if nt < 2 and theta not in (0.0, 1.0):
         raise ValueError("nt >= 2 required for intermediate angles")
     if not 0.0 <= theta <= 1.0:
@@ -174,35 +184,37 @@ def derive_params(ch: TwoUserChannel, gamma1_star: float) -> DerivedParams:
     return DerivedParams(lam1, lam2, theta, Gamma, tau)
 
 
-def alpha1_star_fixed(theta: float, Gamma: float) -> float:
-    """Minimal user-1 parallel weight meeting the target at unit power.
+def _alpha1(theta: float, Gamma: float, p1: float) -> float:
+    """Minimal user-1 parallel weight at power p1 (requires p1 >= Gamma).
 
     Zero while the orthogonal direction alone can meet the target
-    (Gamma <= 1-theta); otherwise the unit-circle solution
-    sqrt(theta*Gamma) - sqrt((1-theta)(1-Gamma)).
+    (Gamma/p1 <= 1-theta); otherwise the unit-circle solution
+    sqrt(theta*r) - sqrt((1-theta)(1-r)) with r = Gamma/p1.
     """
+    if p1 < Gamma * (1.0 - 1e-12):
+        raise InfeasibleTargetError(
+            f"p1={p1:.6g} below the minimum feasible power Gamma={Gamma:.6g}"
+        )
+    if p1 == 0.0:
+        return 0.0  # only reachable when Gamma == 0
+    ratio = min(Gamma / p1, 1.0)
+    if ratio <= 1.0 - theta:
+        return 0.0
+    return math.sqrt(theta * ratio) - math.sqrt((1.0 - theta) * (1.0 - ratio))
+
+
+def alpha1_star_fixed(theta: float, Gamma: float) -> float:
+    """Minimal user-1 parallel weight meeting the target at unit power."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     if not 0.0 <= Gamma <= 1.0:
         raise ValueError("Gamma must lie in [0, 1] for unit user-1 power")
-    if Gamma <= 1.0 - theta:
-        return 0.0
-    return math.sqrt(theta * Gamma) - math.sqrt((1.0 - theta) * (1.0 - Gamma))
+    return _alpha1(theta, Gamma, 1.0)
 
 
 def alpha1_star(p1: float, params: DerivedParams) -> float:
     """Minimal user-1 parallel weight at power p1 (requires p1 >= Gamma)."""
-    G, th = params.Gamma, params.theta
-    if p1 < G * (1.0 - 1e-12):
-        raise InfeasibleTargetError(
-            f"p1={p1:.6g} below the minimum feasible power Gamma={G:.6g}"
-        )
-    if p1 == 0.0:
-        return 0.0  # only reachable when Gamma == 0
-    ratio = min(G / p1, 1.0)
-    if ratio <= 1.0 - th:
-        return 0.0
-    return math.sqrt(th * ratio) - math.sqrt((1.0 - th) * (1.0 - ratio))
+    return _alpha1(params.theta, params.Gamma, p1)
 
 
 def alpha1_beta1(p1: float, params: DerivedParams) -> tuple[float, float]:
@@ -222,9 +234,9 @@ def alpha1_beta1(p1: float, params: DerivedParams) -> tuple[float, float]:
         return t, 0.0
     if t2 <= 1.0 - th:
         return 0.0, t / math.sqrt(1.0 - th)
-    a1 = math.sqrt(th * t2) - math.sqrt((1.0 - th) * (1.0 - t2))
+    # _alpha1 at ratio t^2 and unit power: alpha1*, without the p1 >= Gamma check
     b1 = math.sqrt(1.0 - th) * t + math.sqrt(th * max(1.0 - t2, 0.0))
-    return a1, b1
+    return _alpha1(th, t2, 1.0), b1
 
 
 @dataclass
@@ -247,12 +259,12 @@ class CaseCoefficients:
 
 
 def _coeffs(
-    p1: float, ch: TwoUserChannel, params: DerivedParams
+    lam1: float, lam2: float, th: float, G: float, p1: float, p2: float
 ) -> tuple[float, float, float]:
-    """Inner-problem coefficients (a, b, c) at p1 as a plain tuple."""
-    lam1, lam2, th, G = params.lambda1, params.lambda2, params.theta, params.Gamma
-    a1 = alpha1_star(p1, params)
-    root = math.sqrt(max(ch.P - p1, 0.0))
+    """Inner-problem coefficients (a, b, c) at powers (p1, p2): the design
+    spends p2 = P - p1, the fixed-power design p1 = p2 = 1."""
+    a1 = _alpha1(th, G, p1)
+    root = math.sqrt(max(p2, 0.0))
     den = lam2 * p1 * a1 * a1 + 1.0
     a = root * math.sqrt(lam1 / (1.0 + G * lam1))
     b = root * math.sqrt(lam2 * th / den)
@@ -262,27 +274,9 @@ def _coeffs(
 
 def case_coeffs(p1: float, ch: TwoUserChannel, params: DerivedParams) -> CaseCoefficients:
     """Evaluate the inner-problem coefficients a, b, c (and d) at p1."""
-    return CaseCoefficients(*_coeffs(p1, ch, params))
-
-
-def fixed_coeffs_sq(
-    theta: float, lambda1: float, lambda2: float, Gamma: float
-) -> tuple[float, float, float]:
-    """Squared inner-problem coefficients a^2, b^2, c^2 at unit powers
-    p1 = p2 = 1 (requires Gamma <= 1)."""
-    a1 = alpha1_star_fixed(theta, Gamma)
-    den = lambda2 * a1 * a1 + 1.0
-    return (
-        lambda1 / (1.0 + Gamma * lambda1),
-        lambda2 * theta / den,
-        lambda2 * (1.0 - theta) / den,
+    return CaseCoefficients(
+        *_coeffs(params.lambda1, params.lambda2, params.theta, params.Gamma, p1, ch.P - p1)
     )
-
-
-def _crossing_alpha2(a: float, b: float, c: float) -> float:
-    """alpha2 where user 1's decoding branch meets user 2's own branch."""
-    h = math.hypot(c, a - b)
-    return c / h if h > 0.0 else 1.0
 
 
 def select_case(
@@ -298,7 +292,8 @@ def select_case(
     if a <= b:
         return a * a, CaseTag.CASE1, 1.0
     if b == 0.0 or a <= b + c**2 / b:
-        alpha2 = _crossing_alpha2(a, b, c)
+        h = math.hypot(c, a - b)
+        alpha2 = c / h if h > 0.0 else 1.0
         return (a * alpha2) ** 2, CaseTag.CASE2, alpha2
     return b * b + c * c, CaseTag.CASE3, math.sqrt(theta)
 
@@ -329,7 +324,9 @@ def gamma2_of_p1(
     p1: float, ch: TwoUserChannel, params: DerivedParams
 ) -> tuple[float, CaseTag]:
     """Best achievable user-2 SINR at user-1 power p1, with its case tag."""
-    gamma2, tag, _ = select_case(*_coeffs(p1, ch, params), params.theta)
+    th = params.theta
+    abc = _coeffs(params.lambda1, params.lambda2, th, params.Gamma, p1, ch.P - p1)
+    gamma2, tag, _ = select_case(*abc, th)
     return gamma2, tag
 
 
@@ -372,45 +369,26 @@ def _gamma2_vec(lam1, lam2, th, G, P):
     return f
 
 
-def _grid_golden_max(f, grid_values, G: float, P: float) -> tuple[float, float]:
-    """argmax/max of f over p1 in [Gamma, P]: grid, bracket, golden section.
-
-    grid_values(grid) gives f on the P1_GRID scan that locates the global
-    bracket; golden-section refines it to P1_XTOL, and the best grid point
-    is kept when the refinement does not beat it.  This is the reference
-    search behind maximize_branch_gamma2, independent of the grid-free one.
-    """
-    if P - G <= P1_XTOL:
-        return P, 0.0
-    grid = np.linspace(G, P, P1_GRID)
-    vals = grid_values(grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, P1_GRID - 1)]
-    p1_opt, v_opt = golden_section_max(f, lo, hi, xtol=P1_XTOL)
-    if v_opt < vals[i]:
-        p1_opt, v_opt = float(grid[i]), float(vals[i])
-    return float(p1_opt), float(v_opt)
+def _max_over_p1(f, G: float, P: float) -> tuple[float, float]:
+    """argmax/max of f over p1 in [Gamma, P]: golden section over the whole
+    interval, then the endpoint p1 = Gamma, which golden section approaches
+    but never samples (the curve can fall off it like sqrt(p1 - Gamma), so a
+    point within P1_XTOL of it can lose up to about 1e-5 of the value); the
+    larger of the two is returned."""
+    p1_opt, v_opt = golden_section_max(f, G, P, xtol=P1_XTOL)
+    v_end = f(G)
+    return (G, v_end) if v_end > v_opt else (p1_opt, v_opt)
 
 
 def maximize_gamma2_over_p1(
     ch: TwoUserChannel, params: DerivedParams
 ) -> tuple[float, float]:
-    """argmax/max of the user-2 SINR over p1 in [Gamma, P].
+    """argmax/max of the user-2 SINR over p1 in [Gamma, P], by _max_over_p1.
 
-    Golden section over the whole interval, then the endpoint p1 = Gamma,
-    which golden section approaches but never samples (the curve can fall
-    off it like sqrt(p1 - Gamma), so a point within P1_XTOL of it can lose
-    up to about 1e-5 of the value); the larger of the two is returned.  The
-    searched curve is the pointwise-optimal SINR, so the returned value is
-    always achievable.
+    The searched curve is the pointwise-optimal SINR, so the returned value
+    is always achievable.
     """
-    G = params.Gamma
-    p1_opt, v_opt = golden_section_max(
-        lambda p: gamma2_of_p1(p, ch, params)[0], G, ch.P, xtol=P1_XTOL
-    )
-    v_end, _ = gamma2_of_p1(G, ch, params)
-    return (G, v_end) if v_end > v_opt else (p1_opt, v_opt)
+    return _max_over_p1(lambda p: gamma2_of_p1(p, ch, params)[0], params.Gamma, ch.P)
 
 
 def maximize_gamma2_batch(
@@ -537,7 +515,9 @@ def optimize_p1(ch: TwoUserChannel, params: DerivedParams) -> BeamSolution:
     which coincides with the predicted case's branch at the optimum.
     """
     p1_opt, _ = maximize_gamma2_over_p1(ch, params)
-    gamma2, tag, alpha2 = select_case(*_coeffs(p1_opt, ch, params), params.theta)
+    th = params.theta
+    abc = _coeffs(params.lambda1, params.lambda2, th, params.Gamma, p1_opt, ch.P - p1_opt)
+    gamma2, tag, alpha2 = select_case(*abc, th)
     return _build_solution(ch, params, p1_opt, ch.P - p1_opt, gamma2, tag, alpha2)
 
 
@@ -569,68 +549,60 @@ def case3_closed_form_p1(ch: TwoUserChannel, params: DerivedParams) -> float:
     return min(max(p1, G), P)
 
 
-def maximize_branch_gamma2(
-    ch: TwoUserChannel, params: DerivedParams, region: OptRegion
-) -> tuple[float, float]:
-    """argmax/max of a single case branch of the SINR over p1 in [Gamma, P].
+def maximize_branch_gamma2(ch: TwoUserChannel, params: DerivedParams) -> tuple[float, float]:
+    """argmax/max over p1 in [Gamma, P] of the case-3 branch b^2 + c^2 (user
+    2's own-SINR peak), by the same search as maximize_gamma2_over_p1.
 
-    Used to cross-check the closed-form case-3 maximizer; the branch formula
-    is evaluated everywhere regardless of pointwise case membership.
+    Used to cross-check case3_closed_form_p1; the branch formula is
+    evaluated everywhere regardless of pointwise case membership.
     """
-    lam2, P = params.lambda2, ch.P
-
-    def branch2(p1: float) -> float:
-        a, b, c = _coeffs(p1, ch, params)
-        return (a * _crossing_alpha2(a, b, c)) ** 2
+    lam1, lam2, th, G, P = params.lambda1, params.lambda2, params.theta, params.Gamma, ch.P
 
     def branch3(p1: float) -> float:
-        a1 = alpha1_star(p1, params)
-        return (P - p1) * lam2 / (lam2 * p1 * a1 * a1 + 1.0)
+        _, b, c = _coeffs(lam1, lam2, th, G, p1, P - p1)
+        return b * b + c * c
 
-    f = branch2 if region is OptRegion.OPT_IN_P2 else branch3
-    return _grid_golden_max(
-        f, lambda grid: np.array([f(p) for p in grid]), params.Gamma, P
-    )
+    return _max_over_p1(branch3, G, P)
 
 
 def fixed_power_design(ch: TwoUserChannel, params: DerivedParams) -> BeamSolution:
     """Beam-only design at fixed unit powers p1 = p2 = 1.
 
     Requires Gamma <= 1 (unit power caps the reachable user-1 SINR at
-    lambda1).  alpha2* follows select_case on the fixed_coeffs_sq
-    coefficients.
+    lambda1).  alpha2* follows select_case on the coefficients at unit
+    powers.
     """
     th, G = params.theta, params.Gamma
     if G > 1.0 + 1e-12:
         raise InfeasibleTargetError(
             f"Gamma={G:.6g} > 1 is infeasible at fixed unit user-1 power"
         )
-    a2_, b2_, c2_ = fixed_coeffs_sq(th, params.lambda1, params.lambda2, min(G, 1.0))
-    gamma2, tag, alpha2 = select_case(math.sqrt(a2_), math.sqrt(b2_), math.sqrt(c2_), th)
+    abc = _coeffs(params.lambda1, params.lambda2, th, min(G, 1.0), 1.0, 1.0)
+    gamma2, tag, alpha2 = select_case(*abc, th)
     return _build_solution(ch, params, 1.0, 1.0, gamma2, tag, alpha2)
 
 
-def pareto_boundary(
-    ch: TwoUserChannel, n_points: int, fixed_power: bool = False
-) -> list[tuple[float, float]]:
-    """Rate-region boundary points (R1, R2), swept over the user-1 target.
+def pareto_boundary(ch: TwoUserChannel, n_points: int) -> list[tuple[float, float, float]]:
+    """Rate-region boundary rows (R1, R2_fixed, R2_power) on one grid of
+    n_points normalized targets over [0, P].
 
-    The normalized target runs over [0, P] (power-allocated design) or
-    [0, 1] (fixed unit powers); R2 is non-increasing in R1 along the
-    output.
+    R2_power is the power-allocated design, non-increasing in R1 along the
+    output; R2_fixed the design at fixed unit powers, nan where the target
+    exceeds what unit user-1 power can reach (Gamma > 1).
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    g_max = min(1.0, ch.P) if fixed_power else ch.P
     lam1 = ch.lambda1
-    out = []
-    for G in np.linspace(0.0, g_max, n_points):
+    rows = []
+    for G in np.linspace(0.0, ch.P, n_points):
         params = derive_params(ch, float(G) * lam1)
-        sol = fixed_power_design(ch, params) if fixed_power else optimize_p1(ch, params)
-        out.append(
-            (math.log2(1.0 + params.gamma1_star), math.log2(1.0 + sol.gamma2_star))
-        )
-    return out
+        r2_power = math.log2(1.0 + optimize_p1(ch, params).gamma2_star)
+        if params.Gamma <= 1.0:
+            r2_fixed = math.log2(1.0 + fixed_power_design(ch, params).gamma2_star)
+        else:
+            r2_fixed = math.nan
+        rows.append((math.log2(1.0 + params.gamma1_star), r2_fixed, r2_power))
+    return rows
 
 
 def achieved_user1_sinr(sol: BeamSolution, ch: TwoUserChannel) -> float:

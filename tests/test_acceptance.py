@@ -115,7 +115,7 @@ def test_criterion_03_case3_closed_form(battery):
         if row.params.theta in (0.0, 1.0):
             continue
         p_cf = case3_closed_form_p1(row.ch, row.params)
-        p_num, _ = maximize_branch_gamma2(row.ch, row.params, OptRegion.OPT_IN_P3)
+        p_num, _ = maximize_branch_gamma2(row.ch, row.params)
         worst = max(worst, abs(p_cf - p_num))
         checked += 1
     _report(

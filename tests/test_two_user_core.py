@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misonoma.golden import golden_section_max
 from misonoma.oracle import sample_instance
 from misonoma.two_user_core import (
     P1_GRID,
+    P1_XTOL,
     CaseTag,
     DerivedParams,
     InfeasibleTargetError,
     OptRegion,
     TwoUserChannel,
     _gamma2_vec,
-    _grid_golden_max,
     achieved_gamma2,
     achieved_user1_sinr,
     alpha1_star,
@@ -44,6 +45,27 @@ def _gamma2_at(p1, lam1, lam2, th, G, P):
     """The array p1 rule _gamma2_vec(lam1, lam2, th, G, P), evaluated once at p1."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return _gamma2_vec(lam1, lam2, th, G, P)(np.asarray(p1, dtype=float))
+
+
+def _grid_golden_max(f, grid_values, G, P):
+    """argmax/max of f over p1 in [Gamma, P]: grid, bracket, golden section.
+
+    The grid-then-golden search the grid-free one replaced, kept as an
+    independent reference: grid_values(grid) gives f on a P1_GRID scan that
+    locates the global bracket; golden section refines it to P1_XTOL, and
+    the best grid point is kept when the refinement does not beat it.
+    """
+    if P - G <= P1_XTOL:
+        return P, 0.0
+    grid = np.linspace(G, P, P1_GRID)
+    vals = grid_values(grid)
+    i = int(np.argmax(vals))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, P1_GRID - 1)]
+    p1_opt, v_opt = golden_section_max(f, lo, hi, xtol=P1_XTOL)
+    if v_opt < vals[i]:
+        p1_opt, v_opt = float(grid[i]), float(vals[i])
+    return float(p1_opt), float(v_opt)
 
 
 def _min_alpha1_by_grid(theta, Gamma, p1, n=2_000_001):
@@ -82,6 +104,19 @@ class TestDerivedParams:
     def test_ordering_validated_on_channel(self):
         with pytest.raises(ValueError):
             TwoUserChannel([1.0, 0.0], [2.0, 0.0], 1.0, 1.0, 1.0)
+
+    def test_zero_channel_rejected(self):
+        for h1, h2 in (([0.0, 0.0], [0.0, 0.0]), ([1.0, 0.0], [0.0, 0.0])):
+            with pytest.raises(ValueError, match="nonzero"):
+                TwoUserChannel(h1, h2, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "lam1, lam2, name",
+        [(0.0, 0.0, "lambda1"), (-1.0, -2.0, "lambda1"), (20.0, 0.0, "lambda2"), (20.0, -2.0, "lambda2")],
+    )
+    def test_nonpositive_quality_rejected(self, lam1, lam2, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            channel_from_quality(lam1, lam2, 0.5, 2.0)
 
 
 class TestAlpha1:
@@ -429,9 +464,33 @@ class TestCase3ClosedForm:
             if params.theta in (0.0, 1.0):
                 continue
             p_cf = case3_closed_form_p1(ch, params)
-            p_num, _ = maximize_branch_gamma2(ch, params, OptRegion.OPT_IN_P3)
+            p_num, _ = maximize_branch_gamma2(ch, params)
             assert p_cf == pytest.approx(p_num, abs=1e-6)
             checked += 1
+
+    def test_branch_search_matches_scan(self):
+        """The grid-free maximize_branch_gamma2 is never below a 4096-point
+        scan of the case-3 branch by more than 1e-9 relative, on 2,000
+        draws; edges: theta at 0 and 1 and within 1e-7 of them,
+        lambda2/lambda1 down to 1e-9, Gamma at 0 and at P."""
+        rng = np.random.default_rng(31)
+        for k in range(2000):
+            lam1 = float(np.exp(rng.uniform(0.0, math.log(1e3))))
+            P = float(np.exp(rng.uniform(math.log(0.1), math.log(1e3))))
+            G = (0.0, P, P * float(rng.uniform()))[min(k % 10, 2)]
+            near = 1e-7 * float(rng.uniform())
+            th = float(rng.choice([0.0, 1.0, near, 1.0 - near, rng.uniform()], p=[0.1, 0.1, 0.15, 0.15, 0.5]))
+            ratio = rng.choice([1e-9, 1.0, np.exp(rng.uniform(math.log(1e-9), 0.0))], p=[0.1, 0.1, 0.8])
+            lam2 = lam1 * float(ratio)
+            # the branch b^2 + c^2 written out: (P - p1) lambda2 / (lambda2 p1 alpha1^2 + 1)
+            p1 = np.linspace(G, P, 4096)
+            r = np.minimum(np.divide(G, p1, out=np.zeros_like(p1), where=p1 > 0.0), 1.0)
+            a1 = np.where(r <= 1.0 - th, 0.0, np.sqrt(th * r) - np.sqrt((1.0 - th) * (1.0 - r)))
+            scan = np.maximum(P - p1, 0.0) * lam2 / (lam2 * p1 * a1 * a1 + 1.0)
+            ch = channel_from_quality(lam1, lam1, 1.0, P)  # the branch reads only P from ch
+            prm = DerivedParams(lam1, lam2, th, G, math.nan)
+            _, best = maximize_branch_gamma2(ch, prm)
+            assert best >= (1.0 - 1e-9) * scan.max(), (lam1, lam2, th, G, P)
 
     def test_converges_to_minimum_power(self):
         prev = None
@@ -506,28 +565,30 @@ class TestParetoBoundary:
     def test_endpoint_and_monotonicity(self):
         ch = fig2_channel()
         pts = pareto_boundary(ch, 21)
-        assert pts[-1][1] == pytest.approx(0.0, abs=1e-9)
-        r2 = [p[1] for p in pts]
+        assert pts[-1][2] == pytest.approx(0.0, abs=1e-9)
+        r2 = [p[2] for p in pts]
         assert all(b <= a + 1e-9 for a, b in zip(r2, r2[1:]))
 
     def test_power_allocation_dominates_fixed(self):
         ch = fig2_channel()
-        fixed = pareto_boundary(ch, 21, fixed_power=True)
-        lam1 = ch.lambda1
-        for r1, r2_fixed in fixed:
-            G = (2.0**r1 - 1.0) / lam1
-            params = derive_params(ch, G * lam1)
-            r2_pow = math.log2(1.0 + optimize_p1(ch, params).gamma2_star)
+        rows = pareto_boundary(ch, 21)
+        # R2_fixed is nan exactly where Gamma > 1, at the end of the grid
+        fixed = [row for row in rows if not math.isnan(row[1])]
+        assert fixed and all(math.isnan(row[1]) for row in rows[len(fixed) :])
+        for _, r2_fixed, r2_pow in fixed:
             assert r2_pow >= r2_fixed - 1e-9
 
     def test_points_match_single_calls(self):
         ch = fig2_channel()
         pts = pareto_boundary(ch, 5)
-        for r1, r2 in pts:
+        for r1, r2_fixed, r2 in pts:
             G = (2.0**r1 - 1.0) / ch.lambda1
             params = derive_params(ch, G * ch.lambda1)
             sol = optimize_p1(ch, params)
             assert r2 == pytest.approx(math.log2(1.0 + sol.gamma2_star), abs=1e-9)
+            if not math.isnan(r2_fixed):
+                sol = fixed_power_design(ch, params)
+                assert r2_fixed == pytest.approx(math.log2(1.0 + sol.gamma2_star), abs=1e-9)
 
     def test_requires_two_points(self):
         with pytest.raises(ValueError):
