@@ -100,17 +100,50 @@ def project_complement(v, basis: OrthonormalBasis) -> np.ndarray:
     return v - project_onto(v, basis)
 
 
+# A vector whose largest entry lies in [2^-101, 2^100) needs no scaling:
+# its squared norm lies within nt * 2^(+-202), so a product of two such
+# norms neither under- nor overflows.
+_UNSCALED_EXP = 100
+
+# angle_theta uses its inputs as they are while both squared norms lie in
+# [2^-400, 2^400]: their product and |h1^H h2|^2 then stay in range.
+_NORM_RANGE = (2.0**-400, 2.0**400)
+
+
+def pow2_normalized(v: np.ndarray) -> np.ndarray:
+    """v (a vector, or each row of a 2-D array) times the power of two that
+    brings its largest real or imaginary part into [0.5, 1), where that part
+    lies outside [2^-101, 2^100); other vectors are returned unscaled.
+
+    Scaling by a power of two is exact, so squared norms and correlations
+    of the result are those of v times a power of two, without under- or
+    overflow.  Vectors in range are left alone because a scalar squared
+    magnitude (a libm pow) is not always correctly rounded: a scaled copy
+    could move a result by an ulp.
+    """
+    parts = np.ascontiguousarray(v, dtype=np.complex128).view(np.float64)
+    _, e = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))
+    return np.ldexp(parts, np.where(abs(e) > _UNSCALED_EXP, -e, 0)).view(np.complex128)
+
+
 def angle_theta(h1, h2) -> float:
     """Squared normalized correlation |h1^H h2|^2 / (||h1||^2 ||h2||^2).
 
     Lies in [0, 1]: 0 for orthogonal vectors, 1 for aligned ones.  Clamped
     against round-off since Cauchy-Schwarz can be violated by ~1e-16 in
-    floating point.
+    floating point.  When a squared norm lies outside [2^-400, 2^400], both
+    vectors are first scaled by powers of two (pow2_normalized), so that
+    squared norms of about 1e-300 or 1e+300 neither underflow nor overflow.
     """
     h1 = as_cvec(h1)
     h2 = as_cvec(h2)
     n1 = float(np.vdot(h1, h1).real)
     n2 = float(np.vdot(h2, h2).real)
+    lo, hi = _NORM_RANGE
+    if not (lo <= n1 <= hi and lo <= n2 <= hi):
+        h1, h2 = pow2_normalized(h1), pow2_normalized(h2)
+        n1 = float(np.vdot(h1, h1).real)
+        n2 = float(np.vdot(h2, h2).real)
     if n1 == 0.0 or n2 == 0.0:
         raise ValueError("angle_theta requires nonzero vectors")
     t = abs(np.vdot(h1, h2)) ** 2 / (n1 * n2)

@@ -17,14 +17,20 @@ stand-ins for clusters not designed yet.
 schedule_targets is the one scheduling pass; schedule is that pass at one
 target.  All weak candidates left for a cluster are scored in one batch:
 their interference estimates, projected channels and scalar reductions are
-array operations over the stacked weak pool, and their best weak SINRs come
-from one row-wise golden section over p1 in [Gamma, P]
-(maximize_gamma2_batch, the scalar search's recurrence on arrays).  Several
-targets run in lockstep, cluster by cluster: each keeps its own pairing
-state, and one search covers the candidates of all of them, with Gamma
-given per row.  Only each target's winner goes through the scalar design
-(estimate_ici, project_complement, derive_params, optimize_p1), which
-builds its beams.
+array operations over the stacked weak pool (candidate_reductions), and the
+parts that do not depend on the pairing state are computed once per
+cluster.  Scoring is bound-and-prune.  Each candidate's weak SINR at the
+endpoint p1 = Gamma is a value the p1 search never falls below, and a
+closed-form bound (two_user_core.gamma2_bounds) caps it over all of
+[Gamma, P]; a candidate whose cap lies below the best endpoint value cannot
+win and is dropped.  Usually one candidate is left, which wins without a
+search; the rest go through one row-wise golden section over p1 in
+[Gamma, P] (maximize_gamma2_batch, the scalar search's recurrence on
+arrays).  Several targets run in lockstep, cluster by cluster: each keeps
+its own pairing state, and one search covers the candidates of all of
+them, with Gamma given per row.  Only each target's winner goes through
+the scalar design (estimate_ici, project_complement, derive_params,
+optimize_p1), which builds its beams.
 """
 
 from __future__ import annotations
@@ -34,12 +40,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex_linalg import OrthonormalBasis, as_cvec, gram_schmidt, project_complement
+from .complex_linalg import (
+    OrthonormalBasis,
+    as_cvec,
+    gram_schmidt,
+    pow2_normalized,
+    project_complement,
+)
 from .two_user_core import (
     BeamSolution,
     InfeasibleTargetError,
     TwoUserChannel,
     derive_params,
+    gamma2_bounds,
     maximize_gamma2_batch,
     optimize_p1,
 )
@@ -187,34 +200,49 @@ def candidate_reductions(
     h1: np.ndarray,
     sigma1_sq: float,
     basis: OrthonormalBasis,
-    designed: list[np.ndarray],
     pending_w_hat: list[np.ndarray],
     P: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mask of candidate rows of H paired with strong channel
-    h1 in this cluster that keep the strong/weak ordering (the rows it drops
-    are skipped), and lambda2 and theta of the rows it keeps.
+):
+    """Scalar reductions of weak candidates H (rows) paired with strong
+    channel h1 in one cluster, as a function reduce(rows, designed).
+
+    The parts that do not depend on the pairing state are computed here,
+    once per cluster, over every row of H: the channels projected off the
+    basis, their squared norms, theta (on copies scaled by powers of two,
+    as angle_theta scales, so that tiny channels do not underflow) and each
+    pending cluster's term P*|<w, h>|^2.  reduce(rows, designed) then takes
+    the unpaired rows of one target and that target's designed beams, and
+    returns the mask of rows that keep the strong/weak ordering (the rows
+    it drops are skipped), and lambda2 and theta of the rows it keeps.
 
     Per row this is what the scalar design computes: the estimate_ici
-    estimate (designed beams, plus pending clusters at full power P), the
-    channel projected off the basis and its reductions.  A row's values do
-    not depend on the other rows.  The best weak SINR of a kept row is
-    maximize_gamma2_batch of its reductions at the normalized target that
-    derive_params gives, which agrees with optimize_p1's gamma2_star to
-    round-off.
+    estimate (noise, designed beams, then each pending cluster at full
+    power P, summed in that order), the channel projected off the basis
+    and its reductions.  A row's values do not depend on the other rows.
+    The best weak SINR of a kept row is maximize_gamma2_batch of its
+    reductions at the normalized target that derive_params gives, which
+    agrees with optimize_p1's gamma2_star to round-off.
     """
-    sig_hat = eps_sq.copy()  # summed in estimate_ici's order
-    for w in designed:
-        sig_hat += np.abs(_vdot_rows(w, H)) ** 2
-    for w in pending_w_hat:
-        sig_hat += P * np.abs(_vdot_rows(w, H)) ** 2
+    pending = [P * np.abs(_vdot_rows(w, H)) ** 2 for w in pending_w_hat]
     g_eff = H - sum(np.outer(_vdot_rows(b, H), b) for b in basis.vectors)
     g_norm_sq = (g_eff.real**2 + g_eff.imag**2).sum(axis=1)
-    n1 = float(np.vdot(h1, h1).real)
-    lam1 = n1 / sigma1_sq
-    ok = (g_norm_sq > 0.0) & (g_norm_sq / sig_hat <= lam1)
-    theta = np.abs(_vdot_rows(h1, g_eff[ok])) ** 2 / (n1 * g_norm_sq[ok])
-    return ok, g_norm_sq[ok] / sig_hat[ok], np.clip(theta, 0.0, 1.0)
+    lam1 = float(np.vdot(h1, h1).real) / sigma1_sq
+    h1_n, g_n = pow2_normalized(h1), pow2_normalized(g_eff)
+    den = float(np.vdot(h1_n, h1_n).real) * (g_n.real**2 + g_n.imag**2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows with g_eff = 0
+        theta = np.clip(np.abs(_vdot_rows(h1_n, g_n)) ** 2 / den, 0.0, 1.0)
+
+    def reduce(rows: np.ndarray, designed: list[np.ndarray]):
+        Hr, gr = H[rows], g_norm_sq[rows]
+        sig_hat = eps_sq[rows]  # a copy, summed in estimate_ici's order
+        for w in designed:
+            sig_hat += np.abs(_vdot_rows(w, Hr)) ** 2
+        for term in pending:
+            sig_hat += term[rows]
+        ok = (gr > 0.0) & (gr / sig_hat <= lam1)
+        return ok, gr[ok] / sig_hat[ok], theta[rows[ok]]
+
+    return reduce
 
 
 ZFSelection = tuple[list[User], list[OrthonormalBasis], list[np.ndarray]]
@@ -262,11 +290,17 @@ def schedule_targets(
 
     The targets are scheduled in lockstep, cluster by cluster.  Each keeps
     its own unpaired rows, designed beams and plans, and so its own
-    candidate reductions; the valid rows of all targets are stacked into one
+    candidate reductions.  For each target, the rows whose gamma2_bounds
+    upper bound lies strictly below the largest lower bound of that
+    target's rows are dropped (score -inf): the search can only return a
+    value at or above its row's lower bound, and at or below its upper
+    bound.  A target left with one row pairs it without a search; the rows
+    of targets left with two or more are stacked into one
     maximize_gamma2_batch call, with Gamma given per row.  Row by row that
-    search is the single-target one, so every output equals the output of
-    a pass at its target alone.  Every target is checked before any is
-    scheduled.
+    search is the single-target one, and a dropped row can neither be the
+    maximum nor tie it, so the winner (ties to the lowest uid) and every
+    output equal those of an unpruned pass at the target alone.  Every
+    target is checked before any is scheduled.
     """
     sel_users, bases, h_eff = strong
     Kc = len(sel_users)
@@ -294,21 +328,27 @@ def schedule_targets(
         pending = w_hat[k + 1 :]
         eps1 = sel_users[k].eps_sq  # zero-forced: strong user sees AWGN only
         lam1 = float(np.vdot(h_eff[k], h_eff[k]).real) / eps1
-        oks, lam2s, thetas = zip(
-            *(
-                candidate_reductions(H[r], eps[r], h_eff[k], eps1, bases[k], w1 + w2, pending, P)
-                for r, w1, w2 in zip(left, W1, W2)
-            )
-        )
+        reduce = candidate_reductions(H, eps, h_eff[k], eps1, bases[k], pending, P)
+        oks, lam2s, thetas = zip(*(reduce(r, w1 + w2) for r, w1, w2 in zip(left, W1, W2)))
         counts = [len(lam2) for lam2 in lam2s]
-        best = maximize_gamma2_batch(
-            lam1,
-            np.concatenate(lam2s),
-            np.concatenate(thetas),
-            np.repeat([min(g * lam1 / lam1, P) for g in gammas], counts),
-            P,
-        )
-        parts = np.split(best, np.cumsum(counts)[:-1])
+        ends = np.cumsum(counts)
+        lam2, theta = np.concatenate(lam2s), np.concatenate(thetas)
+        G = np.repeat([min(g * lam1 / lam1, P) for g in gammas], counts)
+        # prune: a row whose upper bound lies below its target's best
+        # endpoint value cannot win, and a target left with one row has won
+        lower, upper = gamma2_bounds(lam1, lam2, theta, G, P)
+        best = np.full(len(lam2), -np.inf)
+        search = []
+        for lo, hi in zip(ends - counts, ends):
+            keep = lo + np.flatnonzero(~(upper[lo:hi] < lower[lo:hi].max(initial=-np.inf)))
+            if len(keep) == 1:
+                best[keep] = lower[keep]
+            elif len(keep):
+                search.append(keep)
+        if search:
+            rows = np.concatenate(search)
+            best[rows] = maximize_gamma2_batch(lam1, lam2[rows], theta[rows], G[rows], P)
+        parts = np.split(best, ends[:-1])
         for t, (Gamma, ok, part) in enumerate(zip(gammas, oks, parts)):
             scores = np.full(len(ok), -np.inf)
             scores[ok] = part

@@ -25,6 +25,9 @@ edge-weighted draws scanned at 4096 points each.
 Each formula is written once: _alpha1 is the minimal user-1 weight, _coeffs
 the inner coefficients at powers (p1, p2), select_case the three-case rule,
 and _max_over_p1 the p1 search; _gamma2_vec is the array form of the rule.
+gamma2_bounds brackets the row-wise search's result, with a closed-form
+cap over all of [Gamma, P], so that the scheduler can drop candidates
+before their search.
 """
 
 from __future__ import annotations
@@ -367,6 +370,38 @@ def _gamma2_vec(lam1, lam2, th, G, P):
         return np.where(case1, a2_, np.where(case3, b2_ + c2_, crossing))
 
     return f
+
+
+# Relative slack on the closed-form bound of gamma2_bounds: the bound and
+# _gamma2_vec round their products in different orders, so a value can
+# exceed the computed bound by an ulp or so; 1e-9 covers that with room and
+# prunes no less.
+BOUND_GUARD = 1.0 + 1e-9
+
+
+def gamma2_bounds(
+    lam1: float, lam2: np.ndarray, theta: np.ndarray, Gamma, P: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (lower, upper) bounds on maximize_gamma2_batch's result for
+    the same arguments.
+
+    lower is the user-2 SINR at the endpoint p1 = Gamma, which the search
+    returns when nothing beats it.  upper caps the SINR at every p1 in
+    [Gamma, P] in closed form, (P - Gamma) * min(lambda1/(1 + Gamma*lambda1),
+    lambda2), times BOUND_GUARD.  At p1 the three cases give a^2, the
+    crossing (a*alpha2)^2 or b^2 + c^2.  Each is at most
+    a^2 = (P-p1)*lambda1/(1+Gamma*lambda1): alpha2 <= 1, and case 3 has
+    a > b + c^2/b, so b^2 + c^2 < a*b < a^2.  Each is also at most
+    b^2 + c^2 = (P-p1)*lambda2/den with den >= 1: case 1 has a <= b, and the
+    crossing lies on user 2's own branch
+    b*alpha2 + c*sqrt(1-alpha2^2) <= sqrt(b^2 + c^2) (Cauchy-Schwarz).
+    p1 >= Gamma does the rest.
+    """
+    ends = np.zeros(lam2.shape) + Gamma
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower = _gamma2_vec(lam1, lam2, theta, Gamma, P)(ends)
+    upper = (P - Gamma) * np.minimum(lam1 / (1.0 + Gamma * lam1), lam2)
+    return lower, upper * BOUND_GUARD
 
 
 def _max_over_p1(f, G: float, P: float) -> tuple[float, float]:

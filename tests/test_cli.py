@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,28 @@ def test_bad_flag_exit_code(tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 2, argv
         assert f"{name} must be positive" in capsys.readouterr().err, argv
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pareto-boundary", "--lambda1", "1e-300", "--lambda2", "1e-300", "--points", "3"],
+        ["angle-sweep", "--lambda1", "1e200", "--lambda2", "1e200"],
+    ],
+)
+def test_extreme_channel_qualities(tmp_path, argv):
+    # squared channel norms near the ends of the float range: the channel
+    # angle neither under- nor overflows, so every value is a number (nan
+    # only in R2_fixed, where Gamma > 1) and no warning is raised
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 0
+    header, rows = _read_csv(str(out))
+    for row in rows:
+        for name, cell in zip(header, row):
+            assert math.isfinite(float(cell)) or name == "R2_fixed", (name, row)
+            assert float(cell) >= 0.0 or math.isnan(float(cell))
 
 
 def test_oracle_check_runs(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,50 @@ def test_angle_theta_symmetric_and_scale_invariant(h1, h2, scale, phase):
     z = scale * np.exp(1j * phase)
     assert angle_theta(z * h1, h2) == pytest.approx(t, abs=1e-12)
     assert angle_theta(h1, z * h2) == pytest.approx(t, abs=1e-12)
+
+
+def _edge_pair(rng, i):
+    """A pair of vectors: independent, aligned, orthogonal or nearly aligned."""
+    nt = int(rng.integers(2, 9))
+    h1 = _random_cvec(rng, nt)
+    h2 = _random_cvec(rng, nt)
+    kind = i % 4
+    if kind == 1:
+        h2 = complex(*rng.normal(size=2)) * h1
+    elif kind == 2:
+        h2 = h2 - h1 * np.vdot(h1, h2) / np.vdot(h1, h1)
+    elif kind == 3:
+        h2 = h1 + 1e-8 * h2
+    return h1, h2
+
+
+def test_angle_theta_in_range_unchanged():
+    # bitwise the unscaled formula, on 2*10^4 pairs whose entries span
+    # 1e-30..1e30 (squared norms 1e-60..1e60)
+    rng = np.random.default_rng(3)
+    for i in range(20_000):
+        h1, h2 = _edge_pair(rng, i)
+        h1 = h1 * 10.0 ** rng.uniform(-30, 30)
+        h2 = h2 * 10.0 ** rng.uniform(-30, 30)
+        n1 = float(np.vdot(h1, h1).real)
+        n2 = float(np.vdot(h2, h2).real)
+        t = min(max(float(abs(np.vdot(h1, h2)) ** 2 / (n1 * n2)), 0.0), 1.0)
+        assert angle_theta(h1, h2) == t, (h1, h2)
+
+
+def test_angle_theta_exponent_range():
+    # vectors whose largest entry lies in [0.5, 1), scaled by 2^k with
+    # 202 <= |k| < 900, so that each squared norm lies outside
+    # [2^-400, 2^400] (out to about 1e+-540): the scaling is undone
+    # exactly, so theta is that of the unscaled pair
+    rng = np.random.default_rng(4)
+    for i in range(2_000):
+        h1, h2 = _edge_pair(rng, i)
+        h1, h2 = (h / 2.0 ** math.frexp(float(np.abs(h.view(float)).max()))[1] for h in (h1, h2))
+        k1, k2 = (int(rng.choice([-1, 1])) * int(rng.integers(202, 900)) for _ in range(2))
+        assert angle_theta(h1 * 2.0**k1, h2 * 2.0**k2) == angle_theta(h1, h2)
+    assert angle_theta([1e-160, 1e-160], [1e-160, 0.0]) == pytest.approx(0.5, rel=1e-15)
+    assert angle_theta([1e200, 0.0], [1e200, 1e200]) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_as_cvec_rejects_bad_inputs():

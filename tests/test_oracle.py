@@ -7,6 +7,7 @@ from misonoma.two_user_core import (
     channel_from_quality,
     derive_params,
     fixed_power_design,
+    gamma2_bounds,
     optimize_p1,
 )
 
@@ -57,6 +58,12 @@ def test_gamma2_upper_bounds():
         slack = 1.0 + 1e-9
         assert res.gamma2 <= params.lambda2 * ch.P * slack
         assert res.gamma2 <= params.lambda1 * ch.P * slack
+        # the scheduler's closed-form prune bound, against the realized SINR
+        _, upper = gamma2_bounds(
+            params.lambda1, np.array([params.lambda2]), np.array([params.theta]),
+            params.Gamma, ch.P,
+        )
+        assert res.gamma2 <= upper[0]
 
 
 def test_grid_sizes_validated():

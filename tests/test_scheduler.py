@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misonoma.complex_linalg import OrthonormalBasis, as_cvec, gram_schmidt, project_complement
 from misonoma.scheduler import (
@@ -118,10 +120,9 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
             h_eff[k],
             eps1,
             bases[k],
-            W1 + W2,
             pending,
             P,
-        )
+        )(np.arange(len(remaining)), W1 + W2)
         skips.append((skipped, {u.uid for u, keep in zip(remaining, ok) if not keep}))
         if best is None:
             w1 = math.sqrt(P) * w_hat[k]
@@ -481,6 +482,75 @@ class TestSchedule:
                 assert out.realized_rates == ref.realized_rates
         assert covers <= seen
 
+    def test_pruned_scoring_matches_unpruned(self, monkeypatch):
+        # the bound prune against the same pass with nothing pruned (upper
+        # bounds at +inf, so every kept row of a target with two or more
+        # goes through the search); pairs, beams, estimates and rates bitwise
+        from misonoma import scheduler
+
+        bounds = scheduler.gamma2_bounds
+        seen = set()
+
+        def spied(lam1, lam2, theta, G, P):
+            lower, upper = bounds(lam1, lam2, theta, G, P)
+            n, kept = len(lam2), int((~(upper < lower.max(initial=-np.inf))).sum())
+            if n > 1:  # one target per call below, so one segment
+                seen.add("one" if kept == 1 else "all" if kept == n else "some")
+            return lower, upper
+
+        def unpruned(lam1, lam2, theta, G, P):
+            return bounds(lam1, lam2, theta, G, P)[0], np.full(lam2.shape, np.inf)
+
+        def outputs(pool, strong, P_T, gammas, fn):
+            monkeypatch.setattr(scheduler, "gamma2_bounds", fn)
+            return scheduler.schedule_targets(pool, strong, P_T, gammas)
+
+        configs = [(2, 40, 10.0, var, range(8)) for var in (0.01, 0.3, 1.0)]
+        configs += [(4, 200, 20.0, 0.01, range(3)), (2, 4, 10.0, 1.0, range(20))]
+        for nt, k_users, pt_db, var, seeds in configs:
+            for seed in seeds:
+                cfg = SimConfig(nt=nt, k_users=k_users, pt_db=pt_db, sigma_h2_sq=var, seed=seed)
+                pool = generate_channels(cfg, np.random.default_rng(seed))
+                strong = zf_select(pool.strong, SUSConfig(nt, cfg.delta))
+                P = cfg.p_total / len(strong[0])
+                gammas = [0.0, 0.3 * P, P]
+                got = [outputs(pool, strong, cfg.p_total, [g], spied)[0] for g in gammas]
+                got += outputs(pool, strong, cfg.p_total, gammas, bounds)
+                want = 2 * outputs(pool, strong, cfg.p_total, gammas, unpruned)
+                for out, ref in zip(got, want):
+                    assert [(p.strong_id, p.weak_id) for p in out.clusters] == [
+                        (p.strong_id, p.weak_id) for p in ref.clusters
+                    ]
+                    for a, b in zip(out.clusters, ref.clusters):
+                        assert a.single_user == b.single_user
+                        assert a.sigma_hat_u_sq == b.sigma_hat_u_sq
+                        assert a.w1_tilde.tobytes() == b.w1_tilde.tobytes()
+                        assert a.w2_tilde.tobytes() == b.w2_tilde.tobytes()
+                        seen |= {"single_user"} if b.single_user else set()
+                    assert out.realized_rates == ref.realized_rates
+        assert seen == {"one", "some", "all", "single_user"}
+
+    def test_schedule_unchanged_by_power_of_two_scaling(self):
+        # every channel times 2^-400 and every noise power times 2^-800
+        # leaves every SNR, angle and so the schedule unchanged, although
+        # products of two squared norms (about 1e-480) leave the float range
+        for seed in range(20):
+            cfg = SimConfig(nt=2, k_users=12, sigma_h2_sq=0.3, seed=seed)
+            pool = generate_channels(cfg, np.random.default_rng(seed))
+            tiny = UserPool(
+                *(
+                    [User(u.uid, 2.0**-400 * u.h, 2.0**-800 * u.eps_sq) for u in users]
+                    for users in (pool.strong, pool.weak)
+                )
+            )
+            sus = SUSConfig(2, cfg.delta)
+            out = schedule(pool, zf_select(pool.strong, sus), cfg.p_total, 1.0)
+            got = schedule(tiny, zf_select(tiny.strong, sus), cfg.p_total, 1.0)
+            assert [(p.strong_id, p.weak_id) for p in got.clusters] == [
+                (p.strong_id, p.weak_id) for p in out.clusters
+            ]
+            np.testing.assert_allclose(got.realized_rates, out.realized_rates, rtol=1e-9)
+
     def test_targets_checked_before_scheduling(self):
         rng = np.random.default_rng(5)
         pool = _pool(rng, 2, 6, 6)
@@ -536,6 +606,77 @@ class TestSchedule:
             assert rates[plan.strong_id] == pytest.approx(out.realized_rates[k][0])
             if plan.weak_id is not None:
                 assert rates[plan.weak_id] == pytest.approx(out.realized_rates[k][1])
+
+
+@st.composite
+def _degenerate_pools(draw):
+    """A whole pool and target for schedule: K/2 strong and K/2 weak users,
+    with K/2 below Nt allowed; strong users that repeat or are collinear
+    with (complex multiples of) earlier ones; weak users as strong as the
+    strong ones or stronger; every channel scaled toward 0; Gamma at 0, at
+    P_T/Kc or between."""
+    nt = draw(st.integers(1, 4))
+    half = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    strong = [_cplx(rng, nt) for _ in range(half)]
+    for i in range(1, half):
+        kind = draw(st.sampled_from(["free", "duplicate", "collinear"]))
+        j = draw(st.integers(0, i - 1))
+        if kind == "duplicate":
+            strong[i] = strong[j].copy()
+        elif kind == "collinear":
+            strong[i] = complex(*rng.normal(size=2)) * strong[j]
+    var_w = draw(st.sampled_from([0.01, 1.0, 100.0]))
+    weak = [_cplx(rng, nt, var_w) for _ in range(half)]
+    scale = 10.0 ** -draw(st.sampled_from([0, 4, 30, 100]))
+    eps = draw(st.sampled_from([1.0, 0.1]))
+    pool = UserPool(
+        strong=[User(i, scale * h, eps) for i, h in enumerate(strong)],
+        weak=[User(half + i, scale * h, eps) for i, h in enumerate(weak)],
+    )
+    frac = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0))
+    return pool, SUSConfig(nt, draw(st.sampled_from([0.3, 0.9, 1.0]))), frac
+
+
+class TestScheduleProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_degenerate_pools())
+    def test_criterion9_invariants(self, case):
+        # test_zero_forcing_and_strong_rate's invariants and tolerances on
+        # every output: no leakage at strong users, cluster power <= P, the
+        # strong rate at its target, every rate finite and nonnegative;
+        # Gamma ranges over all of [0, P_T/Kc], so the leakage power is held
+        # to the larger of signal and noise (see below)
+        pool, sus, frac = case
+        P_T = 10.0
+        strong = zf_select(pool.strong, sus)
+        Gamma = frac * P_T / len(strong[0])
+        out = schedule(pool, strong, P_T, Gamma)
+        for k, plan in enumerate(out.clusters):
+            hs = pool.by_id(plan.strong_id).h
+            others = [
+                w
+                for kk, other in enumerate(out.clusters)
+                if kk != k
+                for w in (other.w1_tilde, other.w2_tilde)
+            ]
+            for w in others:
+                assert abs(np.vdot(hs, w)) <= 1e-9 * np.linalg.norm(hs) * np.linalg.norm(w)
+            # leakage below 1e-9 of the signal, or of the noise where the
+            # signal is weaker (a target near 0 leaves only round-off)
+            s1 = abs(np.vdot(hs, plan.w1_tilde)) ** 2
+            eps = pool.by_id(plan.strong_id).eps_sq
+            assert sum(abs(np.vdot(hs, w)) ** 2 for w in others) <= 1e-9 * max(s1, eps)
+            power = np.vdot(plan.w1_tilde, plan.w1_tilde).real
+            power += np.vdot(plan.w2_tilde, plan.w2_tilde).real
+            assert power <= out.P * (1.0 + 1e-9)
+            if not plan.single_user:
+                lam1 = float(np.vdot(plan.h1_eff, plan.h1_eff).real) / plan.sigma1_sq
+                assert out.realized_rates[k][0] == pytest.approx(
+                    math.log2(1.0 + Gamma * lam1), rel=1e-6
+                )
+        rates = [r for pair in out.realized_rates for r in pair]
+        assert all(math.isfinite(r) and r >= 0.0 for r in rates)
 
 
 class TestBaseline:

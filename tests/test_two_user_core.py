@@ -26,6 +26,7 @@ from misonoma.two_user_core import (
     classify_case,
     derive_params,
     fixed_power_design,
+    gamma2_bounds,
     gamma2_of_p1,
     maximize_branch_gamma2,
     maximize_gamma2_batch,
@@ -365,6 +366,43 @@ class TestGamma2OfP1:
                 assert new[j] >= ref, (lam1, lam2[j], theta[j], G, P)
                 if j % 10 == 0:
                     assert maximize_gamma2_over_p1(ch, prm)[1] >= ref
+
+    def test_bounds_hold_on_edge_draws(self):
+        """gamma2_bounds' closed-form upper bound (with its guard) is never
+        below the SINR at any p1 in [Gamma, P], array and scalar form; its
+        lower bound is the array form at p1 = Gamma; and the two bracket
+        maximize_gamma2_batch row by row.  10^4 draws; edges: theta at 0
+        and 1 and within 1e-7 of them, lambda2/lambda1 down to 1e-9, Gamma
+        at 0 and at P."""
+        rng = np.random.default_rng(31)
+        rows = 100
+        p1_scan = np.concatenate([[0.0, 1e-12, 1e-7], np.linspace(0.0, 1.0, 509)])
+        for k in range(100):
+            lam1 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e4))))
+            P = float(np.exp(rng.uniform(math.log(0.1), math.log(1e3))))
+            G = (0.0, P, P * float(rng.uniform()))[min(k % 10, 2)]
+            near = 1e-7 * rng.uniform(size=rows)
+            u = rng.uniform(size=rows)
+            theta = np.select(
+                [u < 0.1, u < 0.2, u < 0.35, u < 0.5],
+                [0.0, 1.0, near, 1.0 - near],
+                rng.uniform(size=rows),
+            )
+            u = rng.uniform(size=rows)
+            lam2 = lam1 * np.select(
+                [u < 0.1, u < 0.2], [1e-9, 1.0], np.exp(rng.uniform(math.log(1e-9), 0.0, rows))
+            )
+            lower, upper = gamma2_bounds(lam1, lam2, theta, G, P)
+            p1 = G + (P - G) * p1_scan
+            scan = _gamma2_at(p1, lam1, lam2[:, None], theta[:, None], G, P)
+            assert (scan <= upper[:, None]).all(), (lam1, G, P)
+            assert lower.tobytes() == scan[:, 0].tobytes()
+            best = maximize_gamma2_batch(lam1, lam2, theta, G, P)
+            assert (lower <= best).all() and (best <= upper).all()
+            ch = channel_from_quality(lam1, lam1, 1.0, P)  # gamma2_of_p1 reads only P
+            for j in range(0, rows, 10):
+                prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G, math.nan)
+                assert max(gamma2_of_p1(float(p), ch, prm)[0] for p in p1[::8]) <= upper[j]
 
 
 def _random_params(rng):
