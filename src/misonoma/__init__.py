@@ -26,7 +26,9 @@ from .scheduler import (
     SchedulerOutput,
     SUSConfig,
     User,
+    UserGroup,
     UserPool,
+    ZFSelection,
     baseline_sus_zf,
     estimate_ici,
     realized_rates,

@@ -215,30 +215,38 @@ def gamma2_simple_power(
     The threshold theta1 = (-x + sqrt(x^2 + 4(y+1)))/2 with
     x = 1/(lambda2*Gamma), y = 1/(lambda1*Gamma) separates the regime where
     the strong user's decoding branch binds (theta <= theta1) from the one
-    where the weak user's own SINR binds.
+    where the weak user's own SINR binds.  Gamma = 0 takes each term's limit
+    as Gamma -> 0: theta1 = lambda2/lambda1, the leading factor
+    (P - Gamma)/(Gamma (1 + y)) tends to P*lambda1, and the weak user's own
+    branch to P*lambda2.
     """
-    if Gamma <= 0.0:
-        raise ValueError("Gamma must be positive (minimum power is Gamma)")
+    if Gamma < 0.0:
+        raise ValueError("Gamma must be nonnegative (minimum power is Gamma)")
     if Gamma > P * (1.0 + 1e-12):
         raise ValueError("Gamma must not exceed P")
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    x = 1.0 / (lambda2 * Gamma)
-    y = 1.0 / (lambda1 * Gamma)
-    theta1 = 0.5 * (-x + math.sqrt(x * x + 4.0 * (y + 1.0)))
-    lead = (P - Gamma) / Gamma
-    if theta <= theta1 + _THETA_TOL:
-        if theta == 0.0:
-            gamma2 = lead / (1.0 + y + x)
-        elif theta == 1.0:
-            gamma2 = lead / (1.0 + y)  # limit of the bracket term
-        else:
-            br = 1.0 + theta / (1.0 - theta) * (
-                math.sqrt((1.0 + x / theta) / (1.0 + y)) - 1.0
-            ) ** 2
-            gamma2 = lead / (1.0 + y) / br
-        return SimplePowerResult(gamma2, theta1, PowerBranch.BELOW_THETA1)
-    return SimplePowerResult(lead / (theta + x), theta1, PowerBranch.ABOVE_THETA1)
+    if Gamma == 0.0:
+        theta1 = lambda2 / lambda1
+        full, at_zero, above = P * lambda1, P / (1.0 / lambda1 + 1.0 / lambda2), P * lambda2
+    else:
+        x = 1.0 / (lambda2 * Gamma)
+        y = 1.0 / (lambda1 * Gamma)
+        theta1 = 0.5 * (-x + math.sqrt(x * x + 4.0 * (y + 1.0)))
+        lead = (P - Gamma) / Gamma
+        full, at_zero, above = lead / (1.0 + y), lead / (1.0 + y + x), lead / (theta + x)
+    if theta > theta1 + _THETA_TOL:
+        return SimplePowerResult(above, theta1, PowerBranch.ABOVE_THETA1)
+    if theta == 0.0:
+        gamma2 = at_zero
+    elif theta == 1.0:
+        gamma2 = full  # limit of the bracket term
+    else:
+        # (1 + x/theta)/(1 + y), which tends to lambda1/(lambda2*theta)
+        ratio = lambda1 / (lambda2 * theta) if Gamma == 0.0 else (1.0 + x / theta) / (1.0 + y)
+        br = 1.0 + theta / (1.0 - theta) * (math.sqrt(ratio) - 1.0) ** 2
+        gamma2 = full / br
+    return SimplePowerResult(gamma2, theta1, PowerBranch.BELOW_THETA1)
 
 
 def matched_filter_limit_check(

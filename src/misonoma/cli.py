@@ -10,6 +10,7 @@ configuration and seed.  Exit codes: 0 success, 2 invalid arguments,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -283,9 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built on the first call and reused: parse_args keeps
+    no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleTargetError as exc:

@@ -17,7 +17,7 @@ stand-ins for clusters not designed yet.
 schedule_targets is the one scheduling pass; schedule is that pass at one
 target.  All weak candidates left for a cluster are scored in one batch:
 their interference estimates, projected channels and scalar reductions are
-array operations over the stacked weak pool (candidate_reductions), and the
+array operations over the pool's weak rows (candidate_reductions), and the
 parts that do not depend on the pairing state are computed once per
 cluster.  Scoring is bound-and-prune.  Each candidate's weak SINR at the
 endpoint p1 = Gamma is a value the p1 search never falls below, and a
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,27 +62,111 @@ from .two_user_core import (
 _RESIDUAL_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class User:
+    """One user: id, channel and AWGN power.
+
+    Pools hold users as rows of a UserGroup; a User is the input of
+    UserPool.from_users, or a read-only view of one pool row.
+    """
+
     uid: int
     h: np.ndarray
     eps_sq: float
 
     def __post_init__(self):
-        self.h = as_cvec(self.h)
+        object.__setattr__(self, "h", as_cvec(self.h))
         if self.eps_sq <= 0:
             raise ValueError("AWGN power must be positive")
 
 
-@dataclass
-class UserPool:
-    strong: list[User]
-    weak: list[User]
+@dataclass(frozen=True, eq=False)
+class UserGroup:
+    """Users as rows: ids uid (n,), channels H (n, Nt), AWGN powers eps_sq (n,).
+
+    Validated once, on read-only copies: a ragged or non-2-D channel stack,
+    a non-finite channel entry and a noise power that is not positive and
+    finite raise ValueError.
+    """
+
+    uid: np.ndarray
+    H: np.ndarray
+    eps_sq: np.ndarray
 
     def __post_init__(self):
-        self._by_id = {u.uid: u for u in self.strong + self.weak}
-        if len(self._by_id) != len(self.strong) + len(self.weak):
+        uid = np.array(self.uid, dtype=np.int64)
+        H = np.array(self.H, dtype=np.complex128)  # a ragged stack raises ValueError
+        eps = np.array(self.eps_sq, dtype=np.float64)
+        if H.ndim != 2 or H.shape[1] == 0 or uid.shape != (len(H),) or eps.shape != uid.shape:
+            raise ValueError("expected n ids, an (n, Nt) channel matrix (Nt >= 1), n noise powers")
+        if not np.isfinite(H).all():
+            raise ValueError("channel entries must be finite")
+        if not ((eps > 0.0) & np.isfinite(eps)).all():
+            raise ValueError("AWGN power must be positive and finite")
+        for name, value in (("uid", uid), ("H", H), ("eps_sq", eps)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def users(self) -> tuple[User, ...]:
+        """Each row as a User (a read-only view)."""
+        return tuple(map(User, self.uid.tolist(), self.H, self.eps_sq.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class UserPool:
+    """The strong and the weak users, each group as rows.
+
+    The weak rows are held in uid order, the order in which the scheduler
+    scores them and breaks ties; the strong rows keep their given order.
+    User ids must be unique across the pool.  strong, weak and by_id are
+    read-only User views, built on first access.
+    """
+
+    strong_rows: UserGroup
+    weak_rows: UserGroup
+
+    def __post_init__(self):
+        if self.strong_rows.H.shape[1] != self.weak_rows.H.shape[1]:
+            raise ValueError("strong and weak channels must have the same length")
+        weak = self.weak_rows
+        if (np.diff(weak.uid) < 0).any():
+            order = np.argsort(weak.uid)
+            weak = UserGroup(weak.uid[order], weak.H[order], weak.eps_sq[order])
+            object.__setattr__(self, "weak_rows", weak)
+        rows = {
+            uid: (group, i)
+            for group in (self.strong_rows, weak)
+            for i, uid in enumerate(group.uid.tolist())
+        }
+        if len(rows) != len(self.strong_rows.uid) + len(weak.uid):
             raise ValueError("user ids must be unique across the pool")
+        object.__setattr__(self, "_rows", rows)
+
+    @classmethod
+    def from_users(cls, strong, weak) -> "UserPool":
+        """The pool of two lists of User, converted to rows."""
+
+        def rows(users) -> UserGroup:
+            return UserGroup([u.uid for u in users], [u.h for u in users], [u.eps_sq for u in users])
+
+        return cls(rows(strong), rows(weak))
+
+    def row(self, uid: int) -> tuple[np.ndarray, float]:
+        """Channel (a read-only row) and noise power of user uid."""
+        group, i = self._rows[uid]
+        return group.H[i], float(group.eps_sq[i])
+
+    @cached_property
+    def strong(self) -> tuple[User, ...]:
+        return self.strong_rows.users()
+
+    @cached_property
+    def weak(self) -> tuple[User, ...]:
+        return self.weak_rows.users()
+
+    @cached_property
+    def _by_id(self) -> dict[int, User]:
+        return {u.uid: u for u in self.strong + self.weak}
 
     def by_id(self, uid: int) -> User:
         return self._by_id[uid]
@@ -134,7 +219,8 @@ def _vdot_rows(w: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 
 def sus_select(pool_channels, cfg: SUSConfig) -> list[int]:
-    """Greedy semi-orthogonal user selection.
+    """Greedy semi-orthogonal user selection over the rows of pool_channels
+    (an (n, Nt) matrix or a sequence of n vectors of one length).
 
     Repeatedly picks the user whose channel has the largest component
     orthogonal to the span of the already-selected (orthogonalized)
@@ -144,7 +230,7 @@ def sus_select(pool_channels, cfg: SUSConfig) -> list[int]:
     remaining candidates' residuals by the new direction only (the SUS of
     Yoo and Goldsmith, IEEE JSAC 2006).
     """
-    H = np.asarray(list(pool_channels), dtype=np.complex128)  # ragged: ValueError
+    H = np.asarray(pool_channels, dtype=np.complex128)  # ragged: ValueError
     if H.ndim != 2 or H.size == 0 or not np.all(np.isfinite(H)):
         raise ValueError("expected a nonempty stack of finite 1-D vectors")
     norms = np.linalg.norm(H, axis=1)
@@ -245,27 +331,40 @@ def candidate_reductions(
     return reduce
 
 
-ZFSelection = tuple[list[User], list[OrthonormalBasis], list[np.ndarray]]
+@dataclass(frozen=True, eq=False)
+class ZFSelection:
+    """zf_select's result: the selected rows of one group, in selection
+    order (ids, noise powers, channels), with each row's orthonormal basis
+    of the other selected channels and its channel projected off that basis
+    (its zero-forced channel, a row of H_zf)."""
+
+    uid: np.ndarray
+    eps_sq: np.ndarray
+    H: np.ndarray
+    bases: list[OrthonormalBasis]
+    H_zf: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.uid)
 
 
-def zf_select(users: list[User], cfg: SUSConfig) -> ZFSelection:
+def zf_select(group: UserGroup, cfg: SUSConfig) -> ZFSelection:
     """The SUS+ZF step shared by the scheduler and the baseline.
 
-    Selects users with sus_select and returns them in selection order with,
-    for each, the orthonormal basis of the other selected channels and its
-    own channel projected off that basis (its zero-forced channel).  It
-    depends on the users alone, so a trial computes it once for its strong
-    users and shares it.
+    Selects rows of one group with sus_select and returns them in selection
+    order with their bases and zero-forced channels.  It depends on the
+    group alone, so a trial computes it once for its strong rows and shares
+    it.
     """
-    if not users:
-        raise ValueError("empty user pool")
-    if cfg.target_count > users[0].h.size:
+    if cfg.target_count > group.H.shape[1]:
         raise ValueError("target_count must not exceed Nt")
-    sel = [users[i] for i in sus_select([u.h for u in users], cfg)]
+    sel = sus_select(group.H, cfg)
     if not sel:
         raise ValueError("selection returned no users")
-    bases = [gram_schmidt([v.h for v in sel[:k] + sel[k + 1 :]]) for k in range(len(sel))]
-    return sel, bases, [project_complement(u.h, b) for u, b in zip(sel, bases)]
+    H = group.H[sel]
+    bases = [gram_schmidt(np.delete(H, k, axis=0)) for k in range(len(sel))]
+    H_zf = np.array([project_complement(h, b) for h, b in zip(H, bases)])
+    return ZFSelection(group.uid[sel], group.eps_sq[sel], H, bases, H_zf)
 
 
 def schedule(
@@ -281,8 +380,9 @@ def schedule_targets(
 ) -> list[SchedulerOutput]:
     """Full scheduling passes, one per target Gamma in gammas: weak pairing
     and beams for the strong users selected and zero-forced by
-    strong = zf_select(pool.strong, cfg), which the caller computes once and
-    may share across calls.
+    strong = zf_select(pool.strong_rows, cfg), which the caller computes
+    once and may share across calls.  Weak candidates are the rows of
+    pool.weak_rows, in uid order.
 
     Candidates whose effective channel quality would invert the
     strong/weak ordering are skipped; a cluster with no eligible candidate
@@ -302,10 +402,11 @@ def schedule_targets(
     output equal those of an unpruned pass at the target alone.  Every
     target is checked before any is scheduled.
     """
-    sel_users, bases, h_eff = strong
-    Kc = len(sel_users)
-    if len(pool.weak) < Kc:
-        raise ValueError(f"weak pool ({len(pool.weak)}) smaller than Kc ({Kc})")
+    bases, h_eff = strong.bases, strong.H_zf
+    Kc = len(strong)
+    uid, H, eps = pool.weak_rows.uid, pool.weak_rows.H, pool.weak_rows.eps_sq
+    if len(uid) < Kc:
+        raise ValueError(f"weak pool ({len(uid)}) smaller than Kc ({Kc})")
     P = P_T / Kc
     for Gamma in gammas:
         if Gamma < 0 or Gamma > P * (1.0 + 1e-12):
@@ -316,17 +417,14 @@ def schedule_targets(
         return []
     w_hat = [he / np.linalg.norm(he) for he in h_eff]
 
-    weak = sorted(pool.weak, key=lambda u: u.uid)
-    H = np.array([u.h for u in weak])
-    eps = np.array([u.eps_sq for u in weak])
     # per target: rows of H not yet paired (in uid order), designed beams, plans
-    left = [np.arange(len(weak))] * len(gammas)
+    left = [np.arange(len(uid))] * len(gammas)
     W1: list[list[np.ndarray]] = [[] for _ in gammas]
     W2: list[list[np.ndarray]] = [[] for _ in gammas]
     plans: list[list[ClusterPlan]] = [[] for _ in gammas]
     for k in range(Kc):
         pending = w_hat[k + 1 :]
-        eps1 = sel_users[k].eps_sq  # zero-forced: strong user sees AWGN only
+        eps1 = float(strong.eps_sq[k])  # zero-forced: strong user sees AWGN only
         lam1 = float(np.vdot(h_eff[k], h_eff[k]).real) / eps1
         reduce = candidate_reductions(H, eps, h_eff[k], eps1, bases[k], pending, P)
         oks, lam2s, thetas = zip(*(reduce(r, w1 + w2) for r, w1, w2 in zip(left, W1, W2)))
@@ -358,17 +456,17 @@ def schedule_targets(
                 w1 = math.sqrt(P) * w_hat[k]
                 w2 = np.zeros_like(w1)
             else:
-                u = weak[left[t][j]]
+                r = left[t][j]
                 left[t] = np.delete(left[t], j)
-                weak_id = u.uid
-                sig_hat = estimate_ici(u.h, u.eps_sq, W1[t], W2[t], pending, P)
-                g_eff = project_complement(u.h, bases[k])
+                weak_id = int(uid[r])
+                sig_hat = estimate_ici(H[r], eps[r], W1[t], W2[t], pending, P)
+                g_eff = project_complement(H[r], bases[k])
                 ch = TwoUserChannel(h_eff[k], g_eff, eps1, sig_hat, P)
                 sol = optimize_p1(ch, derive_params(ch, Gamma * lam1))
                 w1, w2 = sol.w1_scaled, sol.w2_scaled
             plans[t].append(
                 ClusterPlan(
-                    strong_id=sel_users[k].uid,
+                    strong_id=int(strong.uid[k]),
                     weak_id=weak_id,
                     h1_eff=h_eff[k],
                     h2_eff=g_eff,
@@ -410,19 +508,19 @@ def realized_rates(output: SchedulerOutput, pool: UserPool) -> list[tuple[int, f
             if kk != k
             for w in (p.w1_tilde, p.w2_tilde)
         ]
-        hs = pool.by_id(plan.strong_id)
-        ici1 = sum(abs(np.vdot(hs.h, w)) ** 2 for w in others)
-        s1 = abs(np.vdot(hs.h, plan.w1_tilde)) ** 2
-        sig1 = ici1 + hs.eps_sq
+        h1, eps1 = pool.row(plan.strong_id)
+        ici1 = sum(abs(np.vdot(h1, w)) ** 2 for w in others)
+        s1 = abs(np.vdot(h1, plan.w1_tilde)) ** 2
+        sig1 = ici1 + eps1
         out.append((plan.strong_id, math.log2(1.0 + s1 / sig1)))
         if plan.weak_id is None:
             continue
-        uw = pool.by_id(plan.weak_id)
-        ici2 = sum(abs(np.vdot(uw.h, w)) ** 2 for w in others)
-        r1 = abs(np.vdot(hs.h, plan.w2_tilde)) ** 2
-        s2 = abs(np.vdot(uw.h, plan.w2_tilde)) ** 2
-        r2 = abs(np.vdot(uw.h, plan.w1_tilde)) ** 2
-        sinr2 = min(r1 / (s1 + sig1), s2 / (r2 + ici2 + uw.eps_sq))
+        h2, eps2 = pool.row(plan.weak_id)
+        ici2 = sum(abs(np.vdot(h2, w)) ** 2 for w in others)
+        r1 = abs(np.vdot(h1, plan.w2_tilde)) ** 2
+        s2 = abs(np.vdot(h2, plan.w2_tilde)) ** 2
+        r2 = abs(np.vdot(h2, plan.w1_tilde)) ** 2
+        sinr2 = min(r1 / (s1 + sig1), s2 / (r2 + ici2 + eps2))
         out.append((plan.weak_id, math.log2(1.0 + sinr2)))
     return out
 
@@ -432,26 +530,25 @@ def baseline_sus_zf(
 ) -> tuple[float, float, float]:
     """Conventional reference: two scheduling intervals with ZF beams.
 
-    Each interval serves one pool's zf_select result: each selected user's
+    Each interval serves one group's zf_select result: each selected user's
     beam is its zero-forced channel, normalized, at equal power P_T/Kc.  The
-    strong interval serves strong = zf_select(pool.strong, cfg), shared with
-    the NOMA schedule; only the weak pool is selected here.  Returns the two
-    interval sum rates and their average (each group is served half the
-    time).
+    strong interval serves strong = zf_select(pool.strong_rows, cfg), shared
+    with the NOMA schedule; only the weak rows are selected here.  Returns
+    the two interval sum rates and their average (each group is served half
+    the time).
     """
 
     def interval(selection: ZFSelection) -> float:
-        sel, _, h_zf = selection
-        p = P_T / len(sel)
+        p = P_T / len(selection)
         total = 0.0
-        for u, w in zip(sel, h_zf):
+        for h, eps, w in zip(selection.H, selection.eps_sq.tolist(), selection.H_zf):
             w_norm = float(np.linalg.norm(w))
             if w_norm == 0.0:
                 continue
-            gain = abs(np.vdot(u.h, w / w_norm)) ** 2
-            total += math.log2(1.0 + p * gain / u.eps_sq)
+            gain = abs(np.vdot(h, w / w_norm)) ** 2
+            total += math.log2(1.0 + p * gain / eps)
         return total
 
     s_strong = interval(strong)
-    s_weak = interval(zf_select(pool.weak, cfg))
+    s_weak = interval(zf_select(pool.weak_rows, cfg))
     return s_strong, s_weak, 0.5 * (s_strong + s_weak)

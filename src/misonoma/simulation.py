@@ -17,7 +17,7 @@ import numpy as np
 from .scheduler import (
     SchedulerOutput,
     SUSConfig,
-    User,
+    UserGroup,
     UserPool,
     baseline_sus_zf,
     schedule,
@@ -118,19 +118,19 @@ RATE_FIELDS = tuple(f.name for f in fields(TrialRecord)[1:])
 
 def generate_channels(cfg: SimConfig, rng: np.random.Generator) -> UserPool:
     """i.i.d. complex Gaussian channels: two real normals per entry, each
-    with variance sigma_h^2/2.  Strong users get ids 0..K/2-1, weak users
-    K/2..K-1."""
+    with variance sigma_h^2/2, drawn as (K/2, Nt) matrices: the real parts
+    of the strong rows, their imaginary parts, then the same for the weak
+    rows.  Strong users get ids 0..K/2-1, weak users K/2..K-1."""
     half = cfg.k_users // 2
 
-    def draw(var: float, start: int) -> list[User]:
+    def draw(var: float, start: int) -> UserGroup:
         scale = math.sqrt(var / 2.0)
         re = rng.normal(0.0, scale, size=(half, cfg.nt))
         im = rng.normal(0.0, scale, size=(half, cfg.nt))
-        return [User(start + i, re[i] + 1j * im[i], cfg.awgn_var) for i in range(half)]
+        return UserGroup(np.arange(start, start + half), re + 1j * im, np.full(half, cfg.awgn_var))
 
     strong = draw(cfg.sigma_h1_sq, 0)
-    weak = draw(cfg.sigma_h2_sq, half)
-    return UserPool(strong=strong, weak=weak)
+    return UserPool(strong, draw(cfg.sigma_h2_sq, half))
 
 
 def _noma_rates(out: SchedulerOutput) -> tuple[float, float, float]:
@@ -148,7 +148,7 @@ def run_trial(
     rng = np.random.default_rng(cfg.seed + trial_id)
     pool = generate_channels(cfg, rng)
     sus = SUSConfig(target_count=cfg.nt, delta=cfg.delta)
-    strong = zf_select(pool.strong, sus)
+    strong = zf_select(pool.strong_rows, sus)
     out = schedule(pool, strong, cfg.p_total, cfg.gamma if gamma is None else gamma)
     s_strong, s_weak, combined = baseline_sus_zf(pool, strong, cfg.p_total, sus)
     rec = TrialRecord(trial_id, *_noma_rates(out), combined, 0.5 * s_strong, 0.5 * s_weak)
@@ -172,7 +172,7 @@ def run_trial_sweep(cfg: SimConfig, trial_id: int, gammas: list[float]) -> list[
         if g < 0 or g > cfg.p_total * (1.0 + 1e-12):
             raise InfeasibleTargetError(f"Gamma={g:.6g} outside [0, P_T={cfg.p_total:.6g}]")
     rec, _, pool = run_trial(cfg, trial_id, gamma=gammas[0])
-    strong = zf_select(pool.strong, SUSConfig(target_count=cfg.nt, delta=cfg.delta))
+    strong = zf_select(pool.strong_rows, SUSConfig(target_count=cfg.nt, delta=cfg.delta))
     baseline = astuple(rec)[-3:]  # the last three fields do not depend on the target
     outs = schedule_targets(pool, strong, cfg.p_total, gammas[1:])
     return [rec] + [TrialRecord(trial_id, *_noma_rates(o), *baseline) for o in outs]

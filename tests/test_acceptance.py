@@ -267,7 +267,7 @@ def test_criterion_09_scheduler_zero_forcing():
     for _ in range(50):
         cfg = SimConfig(nt=4, k_users=40, pt_db=10.0, gamma=gamma, trials=1, seed=1)
         pool = generate_channels(cfg, rng)
-        out = schedule(pool, zf_select(pool.strong, SUSConfig(4, 0.4)), cfg.p_total, gamma)
+        out = schedule(pool, zf_select(pool.strong_rows, SUSConfig(4, 0.4)), cfg.p_total, gamma)
         for k, plan in enumerate(out.clusters):
             hs = pool.by_id(plan.strong_id).h
             s1 = abs(np.vdot(hs, plan.w1_tilde)) ** 2

@@ -160,9 +160,26 @@ class TestSimplePower:
             expect = (10.0 - 2.0) / 2.0 / (1.0 + 1.0 / (lam2 * 2.0))
             assert res.gamma2 == pytest.approx(expect, rel=1e-12)
 
-    def test_zero_gamma_rejected(self):
+    def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
-            gamma2_simple_power(0.5, 10.0, 1.0, 0.0, 10.0)
+            gamma2_simple_power(0.5, 10.0, 1.0, -1e-3, 10.0)
+
+    @pytest.mark.parametrize("lam1, lam2", [(10.0, 1.0), (10.0, 0.1), (10.0, 10.0), (100.0, 1e-3)])
+    def test_zero_gamma_is_the_limit(self, lam1, lam2):
+        # Gamma = 0 takes each branch's limit: within 1e-9 of Gamma = 1e-12 P,
+        # P*lambda2 above theta1 = lambda2/lambda1, never above the design
+        P, seen = 10.0, set()
+        for th in np.linspace(0.0, 1.0, 201):
+            res = gamma2_simple_power(float(th), lam1, lam2, 0.0, P)
+            near = gamma2_simple_power(float(th), lam1, lam2, 1e-12 * P, P)
+            assert res.theta1 == lam2 / lam1
+            assert res.gamma2 == pytest.approx(near.gamma2, rel=1e-9)
+            if res.branch is PowerBranch.ABOVE_THETA1:
+                assert res.gamma2 == P * lam2
+            ch = channel_from_quality(lam1, lam2, float(th), P)
+            assert res.gamma2 <= optimize_p1(ch, derive_params(ch, 0.0)).gamma2_star * (1 + 1e-12)
+            seen.add(res.branch)
+        assert seen == set(PowerBranch) or lam1 == lam2
 
     @pytest.mark.parametrize("lam2", [10.0, 1.0, 0.1])
     def test_matches_minimum_power_evaluation(self, lam2):

@@ -283,6 +283,47 @@ def test_extreme_channel_qualities(tmp_path, argv):
             assert float(cell) >= 0.0 or math.isnan(float(cell))
 
 
+def test_angle_sweep_at_zero_gamma(tmp_path):
+    # Gamma = 0: the simple rule's SINR is its Gamma -> 0 limit, P*lambda2
+    # above theta1 = lambda2/lambda1, and never above the optimal design
+    out = tmp_path / "as.csv"
+    argv = ["angle-sweep", "--lambda1", "10", "--lambda2", "1", "--gamma", "0",
+            "--p-cluster", "10", "--points", "11", "--out", str(out)]
+    assert main(argv) == 0
+    header, rows = _read_csv(str(out))
+    assert header == ["theta", "gamma2_optimal", "gamma2_simple"]
+    for theta, optimal, simple in (map(float, r) for r in rows):
+        assert math.isfinite(simple) and 0.0 < simple <= optimal * (1.0 + 1e-12)
+        if theta > 0.1 + 1e-9:
+            assert simple == 10.0 * 1.0
+
+
+def test_parser_reused_across_subcommands(tmp_path, capsys):
+    # main builds its parser once; interleaved subcommands, defaults left
+    # out after being given, and bad input in between must write what a
+    # freshly built parser writes, and bad input must still exit 2
+    from misonoma import cli
+
+    calls = [
+        ["angle-sweep", "--gamma", "3", "--points", "5"],
+        ["schedule-sim", "--k", "8", "--trials", "2", "--seed", "4", "--gamma", "0.5"],
+        ["pareto-boundary", "--points", "4"],
+        ["angle-sweep", "--points", "5"],
+        ["gamma-sweep", "--k", "8", "--trials", "2", "--gamma-points", "3"],
+        ["schedule-sim", "--k", "8", "--trials", "2"],
+    ]
+    for i, argv in enumerate(calls):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--points", "0", "--out", str(tmp_path / "bad.csv")])
+        assert exc.value.code == 2
+        assert main(argv + ["--out", str(tmp_path / f"{i}.csv")]) == 0
+        args = cli.build_parser().parse_args(argv + ["--out", str(tmp_path / f"{i}.ref.csv")])
+        assert args.func(args) == 0
+        assert (tmp_path / f"{i}.csv").read_bytes() == (tmp_path / f"{i}.ref.csv").read_bytes()
+    assert not (tmp_path / "bad.csv").exists()
+    capsys.readouterr()
+
+
 def test_oracle_check_runs(tmp_path, capsys):
     out = tmp_path / "oc.csv"
     rc = main(

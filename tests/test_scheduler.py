@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from misonoma.scheduler import (
     SchedulerOutput,
     SUSConfig,
     User,
+    UserGroup,
     UserPool,
     baseline_sus_zf,
     candidate_reductions,
@@ -38,7 +40,7 @@ def _cplx(rng, n, var=1.0):
 def _pool(rng, nt, n_strong, n_weak, var_s=1.0, var_w=0.01):
     strong = [User(i, _cplx(rng, nt, var_s), 1.0) for i in range(n_strong)]
     weak = [User(n_strong + i, _cplx(rng, nt, var_w), 1.0) for i in range(n_weak)]
-    return UserPool(strong=strong, weak=weak)
+    return UserPool.from_users(strong=strong, weak=weak)
 
 
 def _loop_sus_select(pool_channels, cfg):
@@ -79,7 +81,7 @@ def _pool_of(rng, strong_chans, n_weak, var_w=0.01):
     nt = len(strong_chans[0])
     strong = [User(i, h, 1.0) for i, h in enumerate(strong_chans)]
     weak = [User(len(strong) + i, _cplx(rng, nt, var_w), 1.0) for i in range(n_weak)]
-    return UserPool(strong=strong, weak=weak)
+    return UserPool.from_users(strong=strong, weak=weak)
 
 
 def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
@@ -138,6 +140,97 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
         W1.append(plan.w1_tilde)
         W2.append(plan.w2_tilde)
     return SchedulerOutput(clusters=plans, Kc=Kc, P=P), skips
+
+
+class TestUserPool:
+    def test_pool_from_shuffled_users_matches_arrays(self):
+        # shuffled User lists with non-contiguous uids give the rows of the
+        # pool built from arrays (weak rows in uid order) and its schedule
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            nt, half = 2 + seed % 3, 10
+            uid = 7 + 3 * rng.permutation(100)[: 2 * half]
+            H = np.vstack([_cplx(rng, (half, nt)), _cplx(rng, (half, nt), 0.01)])
+            eps = rng.uniform(0.5, 2.0, 2 * half)
+            arrays = UserPool(
+                UserGroup(uid[:half], H[:half], eps[:half]),
+                UserGroup(uid[half:], H[half:], eps[half:]),
+            )
+            users = list(map(User, uid.tolist(), H, eps.tolist()))
+            strong, weak = users[:half], users[half:]
+            pool = UserPool.from_users(
+                [strong[i] for i in rng.permutation(half)], [weak[i] for i in rng.permutation(half)]
+            )
+            order = np.argsort(uid[half:])
+            for got in (arrays.weak_rows, pool.weak_rows):
+                assert got.uid.tolist() == uid[half:][order].tolist()
+                assert got.H.tobytes() == H[half:][order].tobytes()
+                assert got.eps_sq.tobytes() == eps[half:][order].tobytes()
+            for u in users:
+                h, eps_sq = arrays.row(u.uid)
+                assert pool.by_id(u.uid).h.tobytes() == h.tobytes() == u.h.tobytes()
+                assert pool.by_id(u.uid).eps_sq == eps_sq == u.eps_sq
+            sus = SUSConfig(nt, 0.5)
+            sel = [zf_select(p.strong_rows, sus) for p in (arrays, pool)]
+            assert sel[0].uid.tolist() == sel[1].uid.tolist()
+            assert sel[0].H_zf.tobytes() == sel[1].H_zf.tobytes()
+            P = 10.0 / len(sel[0])
+            gammas = [0.0, 0.4 * P, P]
+            outs = [schedule_targets(p, z, 10.0, gammas) for p, z in zip((arrays, pool), sel)]
+            for a, b in zip(*outs):
+                assert [(c.strong_id, c.weak_id) for c in a.clusters] == [
+                    (c.strong_id, c.weak_id) for c in b.clusters
+                ]
+                for ca, cb in zip(a.clusters, b.clusters):
+                    assert ca.w1_tilde.tobytes() == cb.w1_tilde.tobytes()
+                    assert ca.w2_tilde.tobytes() == cb.w2_tilde.tobytes()
+                assert a.realized_rates == b.realized_rates
+            assert baseline_sus_zf(arrays, sel[0], 10.0, sus) == baseline_sus_zf(
+                pool, sel[1], 10.0, sus
+            )
+
+    def test_invalid_rows_rejected(self):
+        good = dict(uid=[0, 1], H=[[1.0, 0.0], [0.0, 1j]], eps_sq=[1.0, 2.0])
+        for bad in (
+            dict(good, H=[[1.0, 0.0], [math.nan, 1.0]]),
+            dict(good, H=[[1.0, 0.0], [1j * math.inf, 1.0]]),
+            dict(good, eps_sq=[1.0, 0.0]),
+            dict(good, eps_sq=[-1.0, 1.0]),
+            dict(good, eps_sq=[1.0, math.nan]),
+            dict(good, eps_sq=[1.0]),
+            dict(good, H=[[1.0, 0.0], [0.0, 1.0, 0.0]]),  # ragged
+            dict(good, H=[1.0, 0.0]),
+            dict(good, H=[[], []]),
+            dict(good, uid=[0]),
+        ):
+            with pytest.raises(ValueError):
+                UserGroup(**bad)
+        group = UserGroup(**good)
+        with pytest.raises(ValueError, match="unique"):
+            UserPool(group, UserGroup([2, 0], good["H"], good["eps_sq"]))
+        with pytest.raises(ValueError, match="unique"):
+            UserPool(group, UserGroup([2, 2], good["H"], good["eps_sq"]))
+        with pytest.raises(ValueError, match="same length"):
+            UserPool(group, UserGroup([2], [[1.0, 0.0, 0.0]], [1.0]))
+        # the same checks on User lists: per user, then on the stacked rows
+        for bad in (
+            lambda: User(0, [1.0, math.inf], 1.0),
+            lambda: User(0, [1.0, 0.0], 0.0),
+            lambda: UserPool.from_users(
+                [User(0, [1.0, 0.0], 1.0), User(1, [1.0], 1.0)], [User(2, [0.1, 0.0], 1.0)]
+            ),
+            lambda: UserPool.from_users([User(0, [1.0], 1.0)], [User(0, [0.1], 1.0)]),
+        ):
+            with pytest.raises(ValueError):
+                bad()
+        # rows and User views are read-only
+        pool = UserPool(group, UserGroup([5], [[0.1, 0.0]], [1.0]))
+        with pytest.raises(ValueError):
+            pool.strong_rows.H[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            pool.by_id(0).h[0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pool.weak[0].eps_sq = 3.0
 
 
 class TestSusSelect:
@@ -258,9 +351,9 @@ class TestSchedule:
         ]
         P_T, underloaded = 10.0, 0
         for pool, sus in cases:
-            strong = zf_select(pool.strong, sus)
-            underloaded += len(strong[0]) < pool.strong[0].h.size
-            for Gamma in (0.0, 0.5, P_T / len(strong[0])):
+            strong = zf_select(pool.strong_rows, sus)
+            underloaded += len(strong) < pool.strong[0].h.size
+            for Gamma in (0.0, 0.5, P_T / len(strong)):
                 out = schedule(pool, strong, P_T, Gamma)
                 assert out.Kc >= 1
                 for k, plan in enumerate(out.clusters):
@@ -294,7 +387,7 @@ class TestSchedule:
     def test_power_budget(self):
         rng = np.random.default_rng(12)
         pool = _pool(rng, 4, 10, 10)
-        out = schedule(pool, zf_select(pool.strong, SUSConfig(4, 0.5)), 10.0, 0.5)
+        out = schedule(pool, zf_select(pool.strong_rows, SUSConfig(4, 0.5)), 10.0, 0.5)
         total = sum(
             np.linalg.norm(p.w1_tilde) ** 2 + np.linalg.norm(p.w2_tilde) ** 2
             for p in out.clusters
@@ -304,7 +397,7 @@ class TestSchedule:
     def test_single_cluster_reduces_to_two_user_design(self):
         rng = np.random.default_rng(21)
         pool = _pool(rng, 2, 1, 1)
-        out = schedule(pool, zf_select(pool.strong, SUSConfig(1, 0.5)), 10.0, 0.5)
+        out = schedule(pool, zf_select(pool.strong_rows, SUSConfig(1, 0.5)), 10.0, 0.5)
         assert out.Kc == 1
         ch = TwoUserChannel(pool.strong[0].h, pool.weak[0].h, 1.0, 1.0, 10.0)
         sol = optimize_p1(ch, derive_params(ch, 0.5 * ch.lambda1))
@@ -317,7 +410,7 @@ class TestSchedule:
         # need not be parallel
         rng = np.random.default_rng(33)
         pool = _pool(rng, 4, 2, 2, var_w=0.5)
-        out = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.9)), 10.0, 0.2)
+        out = schedule(pool, zf_select(pool.strong_rows, SUSConfig(2, 0.9)), 10.0, 0.2)
         assert out.Kc == 2
         plan = out.clusters[0]
         w1 = plan.w1_tilde / np.linalg.norm(plan.w1_tilde)
@@ -327,7 +420,7 @@ class TestSchedule:
     def test_weak_choice_attains_candidate_maximum(self):
         rng = np.random.default_rng(45)
         pool = _pool(rng, 2, 4, 5)
-        out = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.6)), 10.0, 0.5)
+        out = schedule(pool, zf_select(pool.strong_rows, SUSConfig(2, 0.6)), 10.0, 0.5)
         plan = out.clusters[0]
         assert not plan.single_user
         # recompute every candidate's achievable SINR for cluster 0
@@ -363,7 +456,7 @@ class TestSchedule:
         # rate equals the design value
         rng = np.random.default_rng(52)
         pool = _pool(rng, 2, 6, 6)
-        out = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.6)), 10.0, 0.5)
+        out = schedule(pool, zf_select(pool.strong_rows, SUSConfig(2, 0.6)), 10.0, 0.5)
         if out.Kc < 2 or out.clusters[-1].single_user:
             pytest.skip("needs a two-cluster realization with a paired last cluster")
         plan = out.clusters[-1]
@@ -374,8 +467,8 @@ class TestSchedule:
     def test_determinism(self):
         rng = np.random.default_rng(60)
         pool = _pool(rng, 2, 6, 6)
-        out1 = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.6)), 10.0, 0.5)
-        out2 = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.6)), 10.0, 0.5)
+        out1 = schedule(pool, zf_select(pool.strong_rows, SUSConfig(2, 0.6)), 10.0, 0.5)
+        out2 = schedule(pool, zf_select(pool.strong_rows, SUSConfig(2, 0.6)), 10.0, 0.5)
         assert [p.strong_id for p in out1.clusters] == [
             p.strong_id for p in out2.clusters
         ]
@@ -389,14 +482,14 @@ class TestSchedule:
         rng = np.random.default_rng(71)
         pool = _pool(rng, 2, 4, 4)
         with pytest.raises(InfeasibleTargetError):
-            schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.5)), 10.0, 50.0)
+            schedule(pool, zf_select(pool.strong_rows, SUSConfig(2, 0.5)), 10.0, 50.0)
 
     def test_weak_pool_shortage_rejected(self):
         strong = [User(0, [1.0, 0.0], 1.0), User(1, [0.0, 1.0], 1.0)]
         weak = [User(2, [0.05, 0.05], 1.0)]
-        pool = UserPool(strong, weak)
+        pool = UserPool.from_users(strong, weak)
         with pytest.raises(ValueError):
-            schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.9)), 10.0, 0.5)
+            schedule(pool, zf_select(pool.strong_rows, SUSConfig(2, 0.9)), 10.0, 0.5)
 
     @pytest.mark.parametrize(
         "nt, k_users, pt_db, seeds, weak_vars, covers",
@@ -424,7 +517,7 @@ class TestSchedule:
             Gamma = cfg.p_total / nt * (0.0, 0.1, 0.3, 0.6, 1.0)[seed % 5]
             pool = generate_channels(cfg, np.random.default_rng(seed))
             sus = SUSConfig(nt, cfg.delta)
-            out = schedule(pool, zf_select(pool.strong, sus), cfg.p_total, Gamma)
+            out = schedule(pool, zf_select(pool.strong_rows, sus), cfg.p_total, Gamma)
             ref, skips = _scalar_schedule(pool, nt, cfg.p_total, Gamma, sus)
             assert [(p.strong_id, p.weak_id) for p in out.clusters] == [
                 (p.strong_id, p.weak_id) for p in ref.clusters
@@ -462,8 +555,8 @@ class TestSchedule:
         for seed in seeds:
             cfg = SimConfig(nt=nt, k_users=k_users, pt_db=10.0, sigma_h2_sq=weak_var, seed=seed)
             pool = generate_channels(cfg, np.random.default_rng(seed))
-            strong = zf_select(pool.strong, SUSConfig(nt, cfg.delta))
-            P = cfg.p_total / len(strong[0])
+            strong = zf_select(pool.strong_rows, SUSConfig(nt, cfg.delta))
+            P = cfg.p_total / len(strong)
             gammas = [0.6 * P, 0.0, P, P - 1e-11, 0.2 * P, 0.6 * P, 0.9 * P]
             outs = schedule_targets(pool, strong, cfg.p_total, gammas)
             assert len(outs) == len(gammas)
@@ -511,8 +604,8 @@ class TestSchedule:
             for seed in seeds:
                 cfg = SimConfig(nt=nt, k_users=k_users, pt_db=pt_db, sigma_h2_sq=var, seed=seed)
                 pool = generate_channels(cfg, np.random.default_rng(seed))
-                strong = zf_select(pool.strong, SUSConfig(nt, cfg.delta))
-                P = cfg.p_total / len(strong[0])
+                strong = zf_select(pool.strong_rows, SUSConfig(nt, cfg.delta))
+                P = cfg.p_total / len(strong)
                 gammas = [0.0, 0.3 * P, P]
                 got = [outputs(pool, strong, cfg.p_total, [g], spied)[0] for g in gammas]
                 got += outputs(pool, strong, cfg.p_total, gammas, bounds)
@@ -537,15 +630,15 @@ class TestSchedule:
         for seed in range(20):
             cfg = SimConfig(nt=2, k_users=12, sigma_h2_sq=0.3, seed=seed)
             pool = generate_channels(cfg, np.random.default_rng(seed))
-            tiny = UserPool(
+            tiny = UserPool.from_users(
                 *(
                     [User(u.uid, 2.0**-400 * u.h, 2.0**-800 * u.eps_sq) for u in users]
                     for users in (pool.strong, pool.weak)
                 )
             )
             sus = SUSConfig(2, cfg.delta)
-            out = schedule(pool, zf_select(pool.strong, sus), cfg.p_total, 1.0)
-            got = schedule(tiny, zf_select(tiny.strong, sus), cfg.p_total, 1.0)
+            out = schedule(pool, zf_select(pool.strong_rows, sus), cfg.p_total, 1.0)
+            got = schedule(tiny, zf_select(tiny.strong_rows, sus), cfg.p_total, 1.0)
             assert [(p.strong_id, p.weak_id) for p in got.clusters] == [
                 (p.strong_id, p.weak_id) for p in out.clusters
             ]
@@ -554,7 +647,7 @@ class TestSchedule:
     def test_targets_checked_before_scheduling(self):
         rng = np.random.default_rng(5)
         pool = _pool(rng, 2, 6, 6)
-        strong = zf_select(pool.strong, SUSConfig(2, 0.6))
+        strong = zf_select(pool.strong_rows, SUSConfig(2, 0.6))
         with pytest.raises(InfeasibleTargetError, match="Gamma=50"):
             schedule_targets(pool, strong, 10.0, [0.5, 1.0, 50.0])
         with pytest.raises(InfeasibleTargetError, match="Gamma=-1"):
@@ -565,11 +658,11 @@ class TestSchedule:
         # identical weak channels score identically; the lower uid is listed
         # second in the pool and must still win
         g = np.array([0.1 + 0.05j, -0.08j])
-        pool = UserPool(
+        pool = UserPool.from_users(
             strong=[User(0, [1.0, 0.3j], 1.0)],
             weak=[User(7, g, 1.0), User(3, g, 1.0), User(5, 0.5 * g, 1.0)],
         )
-        out = schedule(pool, zf_select(pool.strong, SUSConfig(1, 0.5)), 10.0, 0.5)
+        out = schedule(pool, zf_select(pool.strong_rows, SUSConfig(1, 0.5)), 10.0, 0.5)
         assert out.clusters[0].weak_id == 3
         ref, _ = _scalar_schedule(pool, 2, 10.0, 0.5, SUSConfig(1, 0.5))
         assert ref.clusters[0].weak_id == 3
@@ -577,12 +670,12 @@ class TestSchedule:
     def test_single_user_fallback(self):
         # every weak candidate is stronger than the strong user: no valid pair
         h = np.array([1.0 + 0.5j, 0.2])
-        pool = UserPool(
+        pool = UserPool.from_users(
             strong=[User(0, h, 2.0)],
             weak=[User(1, [3.0, 1.0j], 1.0), User(2, [0.0, 2.0], 1.0), User(3, 2 * h, 2.0)],
         )
         P = 10.0
-        out = schedule(pool, zf_select(pool.strong, SUSConfig(1, 0.5)), P, 0.5)
+        out = schedule(pool, zf_select(pool.strong_rows, SUSConfig(1, 0.5)), P, 0.5)
         plan = out.clusters[0]
         assert plan.single_user and plan.weak_id is None and plan.solution is None
         assert not np.any(plan.w2_tilde)
@@ -593,14 +686,14 @@ class TestSchedule:
     def test_no_strong_user_selected_rejected(self):
         strong = [User(0, [0.0, 0.0], 1.0), User(1, [0.0, 0.0], 1.0)]
         weak = [User(2, [0.05, 0.05], 1.0), User(3, [0.01, 0.02], 1.0)]
-        pool = UserPool(strong, weak)
+        pool = UserPool.from_users(strong, weak)
         with pytest.raises(ValueError, match="selection returned no users"):
-            schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.9)), 10.0, 0.5)
+            schedule(pool, zf_select(pool.strong_rows, SUSConfig(2, 0.9)), 10.0, 0.5)
 
     def test_realized_rates_roundtrip(self):
         rng = np.random.default_rng(84)
         pool = _pool(rng, 2, 6, 6)
-        out = schedule(pool, zf_select(pool.strong, SUSConfig(2, 0.6)), 10.0, 0.5)
+        out = schedule(pool, zf_select(pool.strong_rows, SUSConfig(2, 0.6)), 10.0, 0.5)
         rates = dict(realized_rates(out, pool))
         for k, plan in enumerate(out.clusters):
             assert rates[plan.strong_id] == pytest.approx(out.realized_rates[k][0])
@@ -630,7 +723,7 @@ def _degenerate_pools(draw):
     weak = [_cplx(rng, nt, var_w) for _ in range(half)]
     scale = 10.0 ** -draw(st.sampled_from([0, 4, 30, 100]))
     eps = draw(st.sampled_from([1.0, 0.1]))
-    pool = UserPool(
+    pool = UserPool.from_users(
         strong=[User(i, scale * h, eps) for i, h in enumerate(strong)],
         weak=[User(half + i, scale * h, eps) for i, h in enumerate(weak)],
     )
@@ -649,8 +742,8 @@ class TestScheduleProperties:
         # to the larger of signal and noise (see below)
         pool, sus, frac = case
         P_T = 10.0
-        strong = zf_select(pool.strong, sus)
-        Gamma = frac * P_T / len(strong[0])
+        strong = zf_select(pool.strong_rows, sus)
+        Gamma = frac * P_T / len(strong)
         out = schedule(pool, strong, P_T, Gamma)
         for k, plan in enumerate(out.clusters):
             hs = pool.by_id(plan.strong_id).h
@@ -681,23 +774,23 @@ class TestScheduleProperties:
 
 class TestBaseline:
     def test_single_user_matched_filter(self):
-        pool = UserPool(
+        pool = UserPool.from_users(
             strong=[User(0, [1.0 + 1j, 0.5], 2.0)],
             weak=[User(1, [0.1, 0.1], 1.0)],
         )
         sus = SUSConfig(1, 0.5)
-        s, _, _ = baseline_sus_zf(pool, zf_select(pool.strong, sus), 10.0, sus)
+        s, _, _ = baseline_sus_zf(pool, zf_select(pool.strong_rows, sus), 10.0, sus)
         h = pool.strong[0].h
         expect = math.log2(1.0 + 10.0 * float(np.vdot(h, h).real) / 2.0)
         assert s == pytest.approx(expect, rel=1e-12)
 
     def test_orthogonal_users_zero_forcing_is_matched_filter(self):
-        pool = UserPool(
+        pool = UserPool.from_users(
             strong=[User(0, [2.0, 0.0], 1.0), User(1, [0.0, 1.0], 1.0)],
             weak=[User(2, [0.1, 0.0], 1.0), User(3, [0.0, 0.1], 1.0)],
         )
         sus = SUSConfig(2, 0.5)
-        s, w, comb = baseline_sus_zf(pool, zf_select(pool.strong, sus), 10.0, sus)
+        s, w, comb = baseline_sus_zf(pool, zf_select(pool.strong_rows, sus), 10.0, sus)
         expect_s = math.log2(1.0 + 5.0 * 4.0) + math.log2(1.0 + 5.0 * 1.0)
         assert s == pytest.approx(expect_s, rel=1e-12)
         assert comb == pytest.approx(0.5 * (s + w), rel=1e-12)
@@ -705,14 +798,14 @@ class TestBaseline:
     def test_served_users_get_zero_mutual_interference(self):
         rng = np.random.default_rng(99)
         pool = _pool(rng, 4, 10, 10)
-        sel, _, h_zf = zf_select(pool.strong, SUSConfig(4, 0.4))
+        sel = zf_select(pool.strong_rows, SUSConfig(4, 0.4))
         assert len(sel) >= 2
-        for i, h in enumerate(h_zf):
+        for i, h in enumerate(sel.H_zf):
             w = h / np.linalg.norm(h)
-            for j, u in enumerate(sel):
+            for j, hj in enumerate(sel.H):
                 if j == i:
                     continue
-                assert abs(np.vdot(u.h, w)) <= 1e-9 * np.linalg.norm(u.h)
+                assert abs(np.vdot(hj, w)) <= 1e-9 * np.linalg.norm(hj)
 
     @pytest.mark.parametrize("nt, k_users, seeds", [(2, 40, range(20)), (4, 200, range(20))])
     def test_schedule_and_baseline_share_the_zf_step(self, nt, k_users, seeds):
@@ -722,15 +815,14 @@ class TestBaseline:
             cfg = SimConfig(nt=nt, k_users=k_users, pt_db=10.0 + 5.0 * (seed % 3), seed=seed)
             pool = generate_channels(cfg, np.random.default_rng(seed))
             sus = SUSConfig(nt, cfg.delta)
-            strong = zf_select(pool.strong, sus)
-            sel, _, h_zf = strong
+            strong = zf_select(pool.strong_rows, sus)
             out = schedule(pool, strong, cfg.p_total, 0.5 * cfg.p_total / nt)
-            assert [p.strong_id for p in out.clusters] == [u.uid for u in sel]
-            for plan, h in zip(out.clusters, h_zf):
+            assert [p.strong_id for p in out.clusters] == strong.uid.tolist()
+            for plan, h in zip(out.clusters, strong.H_zf):
                 assert plan.h1_eff.tobytes() == h.tobytes()
             s_strong, _, _ = baseline_sus_zf(pool, strong, cfg.p_total, sus)
             expect = 0.0
-            for u, plan in zip(sel, out.clusters):
+            for h, eps, plan in zip(strong.H, strong.eps_sq, out.clusters):
                 w_hat = plan.h1_eff / np.linalg.norm(plan.h1_eff)
-                expect += math.log2(1.0 + out.P * abs(np.vdot(u.h, w_hat)) ** 2 / u.eps_sq)
+                expect += math.log2(1.0 + out.P * abs(np.vdot(h, w_hat)) ** 2 / eps)
             assert s_strong == pytest.approx(expect, rel=1e-12, abs=0.0)

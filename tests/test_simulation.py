@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from misonoma import simulation
+from misonoma.scheduler import User
 from misonoma.simulation import (
     SimConfig,
     aggregate_means,
@@ -74,6 +75,24 @@ def test_generate_channels_deterministic():
     for ua, ub in zip(a.strong + a.weak, b.strong + b.weak):
         assert ua.uid == ub.uid
         np.testing.assert_array_equal(ua.h, ub.h)
+
+
+def test_generate_channels_matches_per_user_draw():
+    # bit for bit what building one User per row gives: the real parts of
+    # the strong rows, their imaginary parts, then the same for the weak rows
+    for nt, k in ((1, 2), (2, 40), (4, 200)):
+        cfg = SimConfig(nt=nt, k_users=k, sigma_h1_sq=1.3, sigma_h2_sq=0.02, awgn_var=0.7)
+        pool = generate_channels(cfg, np.random.default_rng(nt * k))
+        rng, half, want = np.random.default_rng(nt * k), k // 2, []
+        for var, start in ((1.3, 0), (0.02, half)):
+            scale = math.sqrt(var / 2.0)
+            re = rng.normal(0.0, scale, size=(half, nt))
+            im = rng.normal(0.0, scale, size=(half, nt))
+            want += [User(start + i, re[i] + 1j * im[i], 0.7) for i in range(half)]
+        for rows, users in ((pool.strong_rows, want[:half]), (pool.weak_rows, want[half:])):
+            assert rows.uid.tolist() == [u.uid for u in users]
+            assert rows.H.tobytes() == b"".join(u.h.tobytes() for u in users)
+            assert rows.eps_sq.tolist() == [u.eps_sq for u in users]
 
 
 def test_generate_channels_ids_and_sizes():
