@@ -2,10 +2,11 @@
 
 Each case below is one CLI run.  Its CSV (and, for schedule-sim, its
 --dump-beams log) must match the file of the same name under
-tests/reference/: pairings (strong_id, weak_id) and single-user flags
-exactly, every rate and beam to REL_TOL relative.  The case tags of the
-schedule-sim runs are recorded while cli.main runs and must equal
-case_tags.json exactly.
+tests/reference/: pairings (strong_id, weak_id), single-user flags and
+oracle-check's instance parameters exactly, every rate, SINR and beam to
+REL_TOL relative, and oracle-check's rel_err, itself a relative
+difference, to REL_TOL absolute.  The case tags of the schedule-sim runs
+are recorded while cli.main runs and must equal case_tags.json exactly.
 
 A reference file is rewritten only on purpose, with the largest move per
 column reported next to the change:
@@ -28,11 +29,14 @@ from misonoma import cli
 
 REF_DIR = Path(__file__).resolve().parent / "reference"
 REL_TOL = 1e-9
+# CSV columns compared as text: the instances oracle-check draws
+EXACT_COLUMNS = {"lambda1", "lambda2", "theta", "P", "Gamma"}
 
 # name -> CLI arguments (without --out); {ref} is the reference directory.
 # nt=2 and nt=4 draws include clusters with Kc < Nt; the K=4 runs with weak
 # users as strong as the strong ones (the config file) fall back to
-# single-user; the sweep's targets are 0 and P_T/Nt.
+# single-user; the sweep's targets are 0 and P_T/Nt; oracle-check runs on
+# grids small enough to keep the case near 0.2 s.
 CASES = {
     "schedule_nt2_k40": [
         "schedule-sim", "--nt", "2", "--k", "40", "--pt-db", "10", "--gamma", "1",
@@ -49,6 +53,9 @@ CASES = {
     "gamma_sweep_nt2_k40": [
         "gamma-sweep", "--nt", "2", "--k", "40", "--pt-db", "10", "--trials", "3",
         "--seed", "22", "--gamma-min", "0", "--gamma-max", "5", "--gamma-points", "3",
+    ],
+    "oracle_check": [
+        "oracle-check", "--instances", "6", "--seed", "7", "--n-p1", "96", "--n-alpha2", "96",
     ],
 }
 
@@ -84,11 +91,17 @@ def _close(a: float, b: float) -> bool:
 def _compare_csv(got: Path, want: Path) -> None:
     with open(got) as fg, open(want) as fw:
         g_rows, w_rows = list(csv.reader(fg)), list(csv.reader(fw))
-    assert g_rows[0] == w_rows[0] and len(g_rows) == len(w_rows)
+    header = g_rows[0]
+    assert header == w_rows[0] and len(g_rows) == len(w_rows)
     for g_row, w_row in zip(g_rows[1:], w_rows[1:]):
-        assert g_row[0] == w_row[0]  # trial id, "mean" or Gamma
-        for a, b in zip(g_row[1:], w_row[1:]):
-            assert _close(float(a), float(b)), (g_row, w_row)
+        assert g_row[0] == w_row[0]  # trial id, "mean", Gamma or instance
+        for col, a, b in zip(header[1:], g_row[1:], w_row[1:]):
+            if col in EXACT_COLUMNS:
+                assert a == b, (col, g_row, w_row)
+            elif col == "rel_err":
+                assert abs(float(a) - float(b)) <= REL_TOL, (g_row, w_row)
+            else:
+                assert _close(float(a), float(b)), (col, g_row, w_row)
 
 
 def _beam_close(got: list, want: list) -> bool:
