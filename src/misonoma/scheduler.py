@@ -24,12 +24,17 @@ endpoint p1 = Gamma is a value the p1 search never falls below, and a
 closed-form bound (two_user_core.gamma2_bounds) caps it over all of
 [Gamma, P]; a candidate whose cap lies below the best endpoint value cannot
 win and is dropped.  Usually one candidate is left, which wins without a
-search; the rest go through one row-wise golden section over p1 in
-[Gamma, P] (maximize_gamma2_batch, the scalar search's recurrence on
-arrays).  Several targets run in lockstep, cluster by cluster: each keeps
-its own pairing state, and one search covers the candidates of all of
-them, with Gamma given per row.  Only each target's winner goes through
-the scalar design (estimate_ici, project_complement, derive_params,
+score; the rest are scored by region in one maximize_gamma2_batch call.
+The paper's region rule (two_user_core._region_vec) predicts each row's
+case at the optimum: a row predicted case 3, or with theta = 1, takes the
+SINR at its closed-form p1 (the case-3 stationary point, p1 = Gamma at
+theta = 1); only rows predicted case 2, rows with theta = 0 and rows whose
+closed form is not finite go through the row-wise golden section over p1
+in [Gamma, P] (the scalar search's recurrence on arrays).  Several targets
+run in lockstep, cluster by cluster: each keeps its own pairing state, and
+one call scores the candidates of all of them, with Gamma given per row.
+The score only picks the winner: each target's winner goes through the
+scalar design (estimate_ici, project_complement, derive_params,
 optimize_p1), which builds its beams.
 """
 

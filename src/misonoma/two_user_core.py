@@ -20,14 +20,19 @@ closed form; the outer problem over p1 is solved numerically, by one
 golden section over the whole of [Gamma, P] plus the endpoint p1 = Gamma
 (classify_case predicts which case holds at the optimum).  The search needs
 no grid: no p1 curve with more than one local maximum turned up in 10^5
-edge-weighted draws scanned at 4096 points each.
+edge-weighted draws scanned at 4096 points each.  Where case 3 is
+predicted, the optimum p1 is also known in closed form
+(case3_closed_form_p1), and p1 = Gamma when the channels are aligned.
 
 Each formula is written once: _alpha1 is the minimal user-1 weight, _coeffs
 the inner coefficients at powers (p1, p2), select_case the three-case rule,
-and _max_over_p1 the p1 search; _gamma2_vec is the array form of the rule.
-gamma2_bounds brackets the row-wise search's result, with a closed-form
-cap over all of [Gamma, P], so that the scheduler can drop candidates
-before their search.
+and _max_over_p1 the p1 search; _gamma2_vec is the array form of the rule,
+and _region_vec the array form of the region prediction and the case-3
+p1, which classify_case and case3_closed_form_p1 evaluate at one instance.
+maximize_gamma2_batch scores many instances by region, with the row-wise
+search only where the closed form does not apply; gamma2_bounds brackets
+its result, with a closed-form cap over all of [Gamma, P], so that the
+scheduler can drop candidates before they are scored.
 """
 
 from __future__ import annotations
@@ -183,8 +188,14 @@ def derive_params(ch: TwoUserChannel, gamma1_star: float) -> DerivedParams:
         )
     Gamma = min(Gamma, ch.P)
     theta = ch.theta
-    tau = math.inf if theta == 0.0 else (1.0 / lam1 + Gamma) / theta - 1.0 / lam2
+    tau = math.inf if theta == 0.0 else _tau(lam1, lam2, theta, Gamma)
     return DerivedParams(lam1, lam2, theta, Gamma, tau)
+
+
+def _tau(lam1, lam2, th, G):
+    """The region-test threshold (1/lambda1 + Gamma)/theta - 1/lambda2, on
+    scalars with theta > 0 or on arrays (theta = 0 gives +inf there)."""
+    return (1.0 / lam1 + G) / th - 1.0 / lam2
 
 
 def _alpha1(theta: float, Gamma: float, p1: float) -> float:
@@ -302,7 +313,8 @@ def select_case(
 
 
 def classify_case(ch: TwoUserChannel, params: DerivedParams) -> OptRegion:
-    """Predict which inner-problem case holds at the optimal p1.
+    """Predict which inner-problem case holds at the optimal p1: the region
+    rule (_region_vec) at one instance.
 
     Case 2 wins iff theta*Gamma < tau, or tau >= 0 with enough total power:
     P >= Gamma + (sqrt(theta*Gamma)-sqrt(tau)) * (sqrt(theta*Gamma)
@@ -310,17 +322,8 @@ def classify_case(ch: TwoUserChannel, params: DerivedParams) -> OptRegion:
     gives tau = +inf (case 2); tau = 0 or theta = 1 push the power
     threshold to +inf (case 3).
     """
-    th, G, lam2 = params.theta, params.Gamma, params.lambda2
-    tau = params.tau
-    tG = th * G
-    if tG < tau:
-        return OptRegion.OPT_IN_P2
-    if tau < 0.0 or tau == 0.0 or th == 1.0:
-        return OptRegion.OPT_IN_P3
-    thr = G + (math.sqrt(tG) - math.sqrt(tau)) * (
-        math.sqrt(tG) + 1.0 / (lam2 * math.sqrt(tau))
-    ) / (1.0 - th)
-    return OptRegion.OPT_IN_P2 if ch.P >= thr else OptRegion.OPT_IN_P3
+    case2, _ = _region_vec(params.lambda1, params.lambda2, params.theta, params.Gamma, ch.P)
+    return OptRegion.OPT_IN_P2 if case2 else OptRegion.OPT_IN_P3
 
 
 def gamma2_of_p1(
@@ -370,6 +373,44 @@ def _gamma2_vec(lam1, lam2, th, G, P):
         return np.where(case1, a2_, np.where(case3, b2_ + c2_, crossing))
 
     return f
+
+
+def _region_vec(lam1, lam2, th, G, P):
+    """The paper's region rule on arrays: (case2, p1), row by row.
+
+    case2 is classify_case's prediction (True: the optimal p1 lies where
+    case 2 holds; theta = 0 is always case 2).  p1 is the case-3 optimum,
+    the stationary point of user 2's own branch b^2 + c^2
+    (case3_closed_form_p1), clamped to [Gamma, P].  With
+    m = theta*Gamma + (1-theta)(P-Gamma), psi2 = theta*Gamma - (1-theta)(P-Gamma)
+    and r = (P-Gamma)*lambda2 / (1 + m*lambda2 + hypot(psi2*lambda2,
+    sqrt(1 + 2*m*lambda2))), it is
+
+        p1 = Gamma + 4*(theta*Gamma*r)*((1-theta)*r),
+
+    the rationalized form multiplied through by lambda2: no 1/lambda2 term
+    and no square of psi2, so nothing overflows while (P-Gamma)*lambda2 is
+    finite, and theta*Gamma*r <= P - Gamma and (1-theta)*r <= 1 bound the
+    product.  At theta = 1 it is Gamma exactly, where the design is pure
+    power control, and p1 -> Gamma as lambda2 -> 0.  The arguments are
+    scalars or arrays that broadcast together.
+    """
+    th = np.asarray(th, dtype=float)  # so that theta = 0 divides as floats do in numpy
+    tG = th * G
+    one_th = 1.0 - th
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # theta = 0 divides by 0 (tau = +inf), tau < 0 has no square root,
+        # and tau = 0 or theta = 1 divide thr by 0: those rows are decided
+        # before thr is read
+        tau = _tau(lam1, lam2, th, G)
+        rt_tG, rt_tau = np.sqrt(tG), np.sqrt(tau)
+        thr = G + (rt_tG - rt_tau) * (rt_tG + 1.0 / (lam2 * rt_tau)) / one_th
+    case2 = (th == 0.0) | (tG < tau) | ((tau > 0.0) & (th != 1.0) & (P >= thr))
+    rem = P - G
+    m = tG + one_th * rem
+    psi2 = tG - one_th * rem
+    r = rem * lam2 / (1.0 + m * lam2 + np.hypot(psi2 * lam2, np.sqrt(1.0 + 2.0 * m * lam2)))
+    return case2, np.minimum(G + 4.0 * (tG * r) * (one_th * r), P)
 
 
 # Relative slack on the closed-form bound of gamma2_bounds: the bound and
@@ -434,15 +475,28 @@ def maximize_gamma2_batch(
     normalized target Gamma is a scalar or one entry per instance (the
     scheduler stacks the candidates of several targets in one call).
 
-    Row by row this is maximize_gamma2_over_p1's search on arrays: the same
+    Each row is solved by region (_region_vec).  A row predicted case 3,
+    and every row with theta = 1, takes the SINR at its case-3 optimum p1
+    (p1 = Gamma at theta = 1).  The rows predicted case 2, the rows with
+    theta = 0 and the rows whose closed form is not finite run
+    maximize_gamma2_over_p1's search on arrays instead: the same
     golden-section recurrence over [Gamma, P], run for that row's own step
-    count, and the same endpoint.  The values agree with the scalar search
-    to round-off.
+    count.  Either value is taken as the max with the endpoint value at
+    p1 = Gamma, so gamma2_bounds' lower bound holds.  The values agree with
+    the scalar search to round-off; where the search stops P1_XTOL short of
+    the optimum, the closed form can lie above it.
     """
     ends = np.zeros(lam2.shape) + Gamma
+    case2, p1 = _region_vec(lam1, lam2, theta, ends, P)
+    search = (case2 & (theta != 1.0)) | (theta == 0.0) | ~np.isfinite(p1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = _gamma2_vec(lam1, lam2, theta, Gamma, P)
-        _, best = vector_golden_section_max(f, ends, np.full(lam2.shape, float(P)), P1_XTOL)
+        f = _gamma2_vec(lam1, lam2, theta, ends, P)
+        best = f(np.where(search, ends, p1))
+        rows = np.flatnonzero(search)
+        if rows.size:
+            f_rows = _gamma2_vec(lam1, lam2[rows], theta[rows], ends[rows], P)
+            hi = np.full(rows.size, float(P))
+            _, best[rows] = vector_golden_section_max(f_rows, ends[rows], hi, P1_XTOL)
         return np.maximum(best, f(ends))
 
 
@@ -557,7 +611,8 @@ def optimize_p1(ch: TwoUserChannel, params: DerivedParams) -> BeamSolution:
 
 
 def case3_closed_form_p1(ch: TwoUserChannel, params: DerivedParams) -> float:
-    """Stationary point of the case-3 SINR branch, in closed form.
+    """Stationary point of the case-3 SINR branch, in closed form: the
+    region rule's p1 (_region_vec) at one instance.
 
     With psi1 = theta*Gamma + (1-theta)(P-Gamma) + 1/lambda2 and
     psi2 = theta*Gamma - (1-theta)(P-Gamma), the interior maximizer is
@@ -571,17 +626,10 @@ def case3_closed_form_p1(ch: TwoUserChannel, params: DerivedParams) -> float:
     {0, 1} is degenerate (raises ValueError; fall back to the numeric
     search).
     """
-    th, G, lam2 = params.theta, params.Gamma, params.lambda2
-    P = ch.P
-    if th in (0.0, 1.0):
+    if params.theta in (0.0, 1.0):
         raise ValueError("closed form undefined for theta in {0, 1}; use numeric search")
-    psi1 = th * G + (1.0 - th) * (P - G) + 1.0 / lam2
-    psi2 = th * G - (1.0 - th) * (P - G)
-    # D = psi2^2 + 2*psi1/lam2 - 1/lam2^2, grouped to avoid cancellation
-    D = psi2 * psi2 + (1.0 + 2.0 * (th * G + (1.0 - th) * (P - G)) * lam2) / (lam2 * lam2)
-    x = 2.0 * math.sqrt(th * G) * (1.0 - th) * (P - G) / (psi1 + math.sqrt(D))
-    p1 = G + x * x / (1.0 - th)
-    return min(max(p1, G), P)
+    _, p1 = _region_vec(params.lambda1, params.lambda2, params.theta, params.Gamma, ch.P)
+    return float(p1)
 
 
 def maximize_branch_gamma2(ch: TwoUserChannel, params: DerivedParams) -> tuple[float, float]:

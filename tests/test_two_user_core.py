@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misonoma.golden import golden_section_max
+from misonoma.golden import golden_section_max, vector_golden_section_max
 from misonoma.oracle import sample_instance
 from misonoma.two_user_core import (
     P1_GRID,
@@ -16,6 +17,7 @@ from misonoma.two_user_core import (
     OptRegion,
     TwoUserChannel,
     _gamma2_vec,
+    _region_vec,
     achieved_gamma2,
     achieved_user1_sinr,
     alpha1_star,
@@ -330,7 +332,7 @@ class TestGamma2OfP1:
         assert stacked.tobytes() == np.concatenate(each).tobytes()
 
     def test_grid_free_search_differential(self):
-        """The grid-free search, row-wise and scalar, is never below the
+        """The region solve (row-wise) and the scalar search are never below the
         grid-then-golden reference (_grid_golden_max) nor a 4096-point scan,
         by more than 1e-9 relative.  10^4 draws in groups that share
         (lambda1, Gamma, P); edges: theta at 0 and 1 and within 1e-7 of
@@ -403,6 +405,111 @@ class TestGamma2OfP1:
             for j in range(0, rows, 10):
                 prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G, math.nan)
                 assert max(gamma2_of_p1(float(p), ch, prm)[0] for p in p1[::8]) <= upper[j]
+
+
+
+def _edge_draws(rng, groups=100, rows=100):
+    """groups x rows draws that share (lambda1, Gamma, P) within a group;
+    edges: theta at 0 and 1 and within 1e-7 of them, lambda2/lambda1 down to
+    1e-9, Gamma at 0 and at P."""
+    for k in range(groups):
+        lam1 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e4))))
+        P = float(np.exp(rng.uniform(math.log(0.1), math.log(1e3))))
+        G = (0.0, P, P * float(rng.uniform()))[min(k % 10, 2)]
+        near = 1e-7 * rng.uniform(size=rows)
+        u = rng.uniform(size=rows)
+        theta = np.select(
+            [u < 0.1, u < 0.2, u < 0.35, u < 0.5],
+            [0.0, 1.0, near, 1.0 - near],
+            rng.uniform(size=rows),
+        )
+        u = rng.uniform(size=rows)
+        lam2 = lam1 * np.select(
+            [u < 0.1, u < 0.2], [1e-9, 1.0], np.exp(rng.uniform(math.log(1e-9), 0.0, rows))
+        )
+        yield lam1, lam2, theta, G, P
+
+
+def _golden_rows(lam1, lam2, theta, G, P):
+    """The row-wise golden section over [Gamma, P] plus the endpoint
+    p1 = Gamma: the search that the region solve replaces on most rows."""
+    ends = np.full(lam2.shape, float(G))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = _gamma2_vec(lam1, lam2, theta, G, P)
+        _, best = vector_golden_section_max(f, ends, np.full(lam2.shape, float(P)), P1_XTOL)
+        return np.maximum(best, f(ends))
+
+
+def _classify_reference(lam1, lam2, th, G, P):
+    """The paper's region test written out on floats: True for case 2."""
+    tau = math.inf if th == 0.0 else (1.0 / lam1 + G) / th - 1.0 / lam2
+    tG = th * G
+    if tG < tau:
+        return True
+    if tau <= 0.0 or th == 1.0:
+        return False
+    thr = G + (math.sqrt(tG) - math.sqrt(tau)) * (
+        math.sqrt(tG) + 1.0 / (lam2 * math.sqrt(tau))
+    ) / (1.0 - th)
+    return P >= thr
+
+
+class TestRegionSolve:
+    def test_region_solve_differential(self):
+        """maximize_gamma2_batch, which solves most rows by region, is never
+        more than 1e-9 relative below the row-wise golden section, and never
+        above gamma2_bounds' upper bound, on 10^4 edge-weighted draws; at
+        least a third of the rows take the closed form."""
+        closed = 0
+        for lam1, lam2, theta, G, P in _edge_draws(np.random.default_rng(37)):
+            got = maximize_gamma2_batch(lam1, lam2, theta, G, P)
+            ref = _golden_rows(lam1, lam2, theta, G, P)
+            _, upper = gamma2_bounds(lam1, lam2, theta, G, P)
+            assert (got >= (1.0 - 1e-9) * ref).all(), (lam1, G, P)
+            assert (got <= upper).all(), (lam1, G, P)
+            case2, _ = _region_vec(lam1, lam2, theta, G, P)
+            closed += int(((~case2 | (theta == 1.0)) & (theta > 0.0)).sum())
+        assert closed >= 10**4 // 3
+
+    def test_array_classifier_matches_scalar(self):
+        # _region_vec's case test against classify_case and against the
+        # rule written out on floats, on every one of 10^4 edge draws
+        for lam1, lam2, theta, G, P in _edge_draws(np.random.default_rng(41)):
+            case2, _ = _region_vec(lam1, lam2, theta, G, P)
+            ch = channel_from_quality(lam1, lam1, 1.0, P)  # classify_case reads only P
+            for j in range(len(lam2)):
+                l2, th = float(lam2[j]), float(theta[j])
+                prm = DerivedParams(lam1, l2, th, G, math.nan)
+                scalar = classify_case(ch, prm) is OptRegion.OPT_IN_P2
+                assert bool(case2[j]) == scalar == _classify_reference(lam1, l2, th, G, P)
+
+    def test_aligned_rows_return_endpoint_value(self):
+        # theta = 1 is pure power control: the value is f(Gamma), bitwise
+        for lam1, lam2, theta, G, P in _edge_draws(np.random.default_rng(43), groups=30):
+            theta = np.ones_like(theta)
+            got = maximize_gamma2_batch(lam1, lam2, theta, G, P)
+            assert got.tobytes() == _gamma2_at(np.full(lam2.shape, G), lam1, lam2, theta, G, P).tobytes()
+            _, p1 = _region_vec(lam1, lam2, theta, G, P)
+            assert (p1 == G).all()
+
+    def test_huge_power_raises_no_warning(self):
+        # P up to 1e160 with Gamma from 1e-160*P to P: psi2^2 of the plain
+        # closed form would overflow; the region solve stays finite, takes
+        # the closed form, and matches the search
+        rng = np.random.default_rng(47)
+        lam1 = 20.0
+        lam2 = lam1 * np.concatenate([rng.uniform(1e-6, 1.0, 40), [1e-9, 1.0]])
+        theta = np.concatenate([rng.uniform(0.0, 1.0, 40), [1.0 - 1e-9, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for P in (1e10, 1e80, 1e160):
+                for G in (1e-160 * P, 1e-8 * P, 0.5 * P, P):
+                    got = maximize_gamma2_batch(lam1, lam2, theta, G, P)
+                    case2, p1 = _region_vec(lam1, lam2, theta, G, P)
+                    assert np.isfinite(p1).all() and np.isfinite(got).all()
+                    assert ((G <= p1) & (p1 <= P)).all()
+                    ref = _golden_rows(lam1, lam2, theta, G, P)
+                    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-300)
 
 
 def _random_params(rng):
