@@ -215,7 +215,9 @@ def gamma2_simple_power(
     The threshold theta1 = (-x + sqrt(x^2 + 4(y+1)))/2 with
     x = 1/(lambda2*Gamma), y = 1/(lambda1*Gamma) separates the regime where
     the strong user's decoding branch binds (theta <= theta1) from the one
-    where the weak user's own SINR binds.  Gamma = 0 takes each term's limit
+    where the weak user's own SINR binds.  It is computed rationalized,
+    2(y+1)/(x + hypot(x, 2 sqrt(y+1))): the plain form cancels once x is
+    large (small Gamma), and x^2 overflows once lambda2*Gamma is tiny.  Gamma = 0 takes each term's limit
     as Gamma -> 0: theta1 = lambda2/lambda1, the leading factor
     (P - Gamma)/(Gamma (1 + y)) tends to P*lambda1, and the weak user's own
     branch to P*lambda2.
@@ -232,7 +234,7 @@ def gamma2_simple_power(
     else:
         x = 1.0 / (lambda2 * Gamma)
         y = 1.0 / (lambda1 * Gamma)
-        theta1 = 0.5 * (-x + math.sqrt(x * x + 4.0 * (y + 1.0)))
+        theta1 = 2.0 * (y + 1.0) / (x + math.hypot(x, 2.0 * math.sqrt(y + 1.0)))
         lead = (P - Gamma) / Gamma
         full, at_zero, above = lead / (1.0 + y), lead / (1.0 + y + x), lead / (theta + x)
     if theta > theta1 + _THETA_TOL:

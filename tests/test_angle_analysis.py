@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -159,6 +160,24 @@ class TestSimplePower:
             assert res.branch is PowerBranch.ABOVE_THETA1
             expect = (10.0 - 2.0) / 2.0 / (1.0 + 1.0 / (lam2 * 2.0))
             assert res.gamma2 == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "lam1, lam2, Gamma",
+        [(10.0, 1.0, 1e-12 * 10.0), (10.0, 1.0, 1e-9 * 10.0), (10.0, 1.0, 2.0), (10.0, 0.1, 10.0),
+         (10.0, 1e-100, 1e-150)],
+    )
+    def test_theta1_against_decimal_reference(self, lam1, lam2, Gamma):
+        # (-x + sqrt(x^2 + 4(y+1)))/2 in 600 digits from the same floats, more
+        # than its cancellation costs; at Gamma = 1e-12 P the plain float
+        # form lost 1.5e-5 relative, and at lambda2*Gamma = 1e-250 its x^2
+        # overflows
+        with localcontext() as ctx:
+            ctx.prec = 600
+            x = 1 / (Decimal(lam2) * Decimal(Gamma))
+            y = 1 / (Decimal(lam1) * Decimal(Gamma))
+            ref = (-x + (x * x + 4 * (y + 1)).sqrt()) / 2
+        theta1 = gamma2_simple_power(0.5, lam1, lam2, Gamma, 10.0).theta1
+        assert abs(Decimal(theta1) - ref) <= Decimal("1e-14") * ref
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
