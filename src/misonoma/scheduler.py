@@ -59,6 +59,7 @@ from .two_user_core import (
     TwoUserChannel,
     derive_params,
     gamma2_bounds,
+    log2_1p,
     maximize_gamma2_batch,
     optimize_p1,
 )
@@ -517,7 +518,7 @@ def realized_rates(output: SchedulerOutput, pool: UserPool) -> list[tuple[int, f
         ici1 = sum(abs(np.vdot(h1, w)) ** 2 for w in others)
         s1 = abs(np.vdot(h1, plan.w1_tilde)) ** 2
         sig1 = ici1 + eps1
-        out.append((plan.strong_id, math.log2(1.0 + s1 / sig1)))
+        out.append((plan.strong_id, log2_1p(s1 / sig1)))
         if plan.weak_id is None:
             continue
         h2, eps2 = pool.row(plan.weak_id)
@@ -526,7 +527,7 @@ def realized_rates(output: SchedulerOutput, pool: UserPool) -> list[tuple[int, f
         s2 = abs(np.vdot(h2, plan.w2_tilde)) ** 2
         r2 = abs(np.vdot(h2, plan.w1_tilde)) ** 2
         sinr2 = min(r1 / (s1 + sig1), s2 / (r2 + ici2 + eps2))
-        out.append((plan.weak_id, math.log2(1.0 + sinr2)))
+        out.append((plan.weak_id, log2_1p(sinr2)))
     return out
 
 
@@ -551,7 +552,7 @@ def baseline_sus_zf(
             if w_norm == 0.0:
                 continue
             gain = abs(np.vdot(h, w / w_norm)) ** 2
-            total += math.log2(1.0 + p * gain / eps)
+            total += log2_1p(p * gain / eps)
         return total
 
     s_strong = interval(strong)

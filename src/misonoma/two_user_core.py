@@ -59,6 +59,15 @@ P1_GRID = 512
 # degenerate (aligned or orthogonal channels).
 DEGENERATE_DIR_TOL = 1e-12
 
+_LN2 = math.log(2.0)
+
+
+def log2_1p(sinr: float) -> float:
+    """The rate log2(1 + sinr) in bits, formed as log1p(sinr)/ln 2: every
+    rate is formed here, since log2(1.0 + sinr) loses every digit once sinr
+    is below about 2e-16."""
+    return math.log1p(sinr) / _LN2
+
 
 class InfeasibleTargetError(ValueError):
     """Requested user-1 SINR target cannot be met with the available power."""
@@ -679,12 +688,12 @@ def pareto_boundary(ch: TwoUserChannel, n_points: int) -> list[tuple[float, floa
     rows = []
     for G in np.linspace(0.0, ch.P, n_points):
         params = derive_params(ch, float(G) * lam1)
-        r2_power = math.log2(1.0 + optimize_p1(ch, params).gamma2_star)
+        r2_power = log2_1p(optimize_p1(ch, params).gamma2_star)
         if params.Gamma <= 1.0:
-            r2_fixed = math.log2(1.0 + fixed_power_design(ch, params).gamma2_star)
+            r2_fixed = log2_1p(fixed_power_design(ch, params).gamma2_star)
         else:
             r2_fixed = math.nan
-        rows.append((math.log2(1.0 + params.gamma1_star), r2_fixed, r2_power))
+        rows.append((log2_1p(params.gamma1_star), r2_fixed, r2_power))
     return rows
 
 

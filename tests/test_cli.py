@@ -283,6 +283,21 @@ def test_extreme_channel_qualities(tmp_path, argv):
             assert float(cell) >= 0.0 or math.isnan(float(cell))
 
 
+def test_tiny_sinr_rates_keep_their_digits(tmp_path):
+    # SINRs near 1e-300: log2(1 + x) would write 0 for every rate; R1 is
+    # Gamma*lambda1/ln 2 at Gamma = 0, P/2, P, and the weak rates are
+    # positive wherever the weak user gets power
+    out = tmp_path / "pb.csv"
+    argv = ["pareto-boundary", "--lambda1", "1e-300", "--lambda2", "1e-300", "--points", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    header, rows = _read_csv(str(out))
+    assert header == ["R1", "R2_fixed", "R2_power"]
+    for G, (r1, r2_fixed, r2_power) in zip((0.0, 1.0, 2.0), (map(float, r) for r in rows)):
+        assert r1 == pytest.approx(G * 1e-300 / math.log(2.0), rel=1e-12, abs=0.0)
+        assert r2_fixed > 0.0 if G <= 1.0 else math.isnan(r2_fixed)
+        assert r2_power > 0.0 if G < 2.0 else r2_power == 0.0
+
+
 def test_angle_sweep_at_zero_gamma(tmp_path):
     # Gamma = 0: the simple rule's SINR is its Gamma -> 0 limit, P*lambda2
     # above theta1 = lambda2/lambda1, and never above the optimal design
