@@ -217,10 +217,10 @@ def gamma2_simple_power(
     the strong user's decoding branch binds (theta <= theta1) from the one
     where the weak user's own SINR binds.  It is computed rationalized,
     2(y+1)/(x + hypot(x, 2 sqrt(y+1))): the plain form cancels once x is
-    large (small Gamma), and x^2 overflows once lambda2*Gamma is tiny.  Gamma = 0 takes each term's limit
-    as Gamma -> 0: theta1 = lambda2/lambda1, the leading factor
-    (P - Gamma)/(Gamma (1 + y)) tends to P*lambda1, and the weak user's own
-    branch to P*lambda2.
+    large (small Gamma), and x^2 overflows once lambda2*Gamma is tiny.
+    Gamma = 0 takes each term's limit as Gamma -> 0: theta1 =
+    lambda2/lambda1, the leading factor (P - Gamma)/(Gamma (1 + y)) tends
+    to P*lambda1, and the weak user's own branch to P*lambda2.
     """
     if Gamma < 0.0:
         raise ValueError("Gamma must be nonnegative (minimum power is Gamma)")

@@ -23,8 +23,8 @@ cluster.  Scoring is bound-and-prune.  Each candidate's weak SINR at the
 endpoint p1 = Gamma is a value the p1 search never falls below, and a
 closed-form bound (two_user_core.gamma2_bounds) caps it over all of
 [Gamma, P]; a candidate whose cap lies below the best endpoint value cannot
-win and is dropped.  Usually one candidate is left, which wins without a
-score; the rest are scored by region in one maximize_gamma2_batch call.
+win and is dropped.  Usually one candidate is left, which wins outright;
+the rest are scored by region in one maximize_gamma2_batch call.
 The paper's region rule (two_user_core._region_vec) predicts each row's
 case at the optimum: a row predicted case 3, or with theta = 1, takes the
 SINR at its closed-form p1 (the case-3 stationary point, p1 = Gamma at

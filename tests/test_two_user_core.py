@@ -83,6 +83,28 @@ def _min_alpha1_by_grid(theta, Gamma, p1, n=2_000_001):
     return float(al[np.argmax(ok)])
 
 
+def _edge_draws(rng, groups=100, rows=100, lam1_range=(1e-3, 1e4)):
+    """groups x rows draws (lambda1, lambda2, theta, Gamma, P) that share
+    (lambda1, Gamma, P) within a group; edges: theta at 0 and 1 and within
+    1e-7 of them, lambda2/lambda1 down to 1e-9, Gamma at 0 and at P."""
+    for k in range(groups):
+        lam1 = float(np.exp(rng.uniform(*map(math.log, lam1_range))))
+        P = float(np.exp(rng.uniform(math.log(0.1), math.log(1e3))))
+        G = (0.0, P, P * float(rng.uniform()))[min(k % 10, 2)]
+        near = 1e-7 * rng.uniform(size=rows)
+        u = rng.uniform(size=rows)
+        theta = np.select(
+            [u < 0.1, u < 0.2, u < 0.35, u < 0.5],
+            [0.0, 1.0, near, 1.0 - near],
+            rng.uniform(size=rows),
+        )
+        u = rng.uniform(size=rows)
+        lam2 = lam1 * np.select(
+            [u < 0.1, u < 0.2], [1e-9, 1.0], np.exp(rng.uniform(math.log(1e-9), 0.0, rows))
+        )
+        yield lam1, lam2, theta, G, P
+
+
 class TestDerivedParams:
     def test_fig2_values(self):
         ch = fig2_channel()
@@ -337,23 +359,8 @@ class TestGamma2OfP1:
         by more than 1e-9 relative.  10^4 draws in groups that share
         (lambda1, Gamma, P); edges: theta at 0 and 1 and within 1e-7 of
         them, lambda2/lambda1 down to 1e-9, Gamma at 0 and at P."""
-        rng = np.random.default_rng(23)
-        rows = 100
-        for k in range(100):
-            lam1 = float(np.exp(rng.uniform(0.0, math.log(1e3))))
-            P = float(np.exp(rng.uniform(math.log(0.1), math.log(1e3))))
-            G = (0.0, P, P * float(rng.uniform()))[min(k % 10, 2)]
-            near = 1e-7 * rng.uniform(size=rows)
-            u = rng.uniform(size=rows)
-            theta = np.select(
-                [u < 0.1, u < 0.2, u < 0.35, u < 0.5],
-                [0.0, 1.0, near, 1.0 - near],
-                rng.uniform(size=rows),
-            )
-            u = rng.uniform(size=rows)
-            lam2 = lam1 * np.select(
-                [u < 0.1, u < 0.2], [1e-9, 1.0], np.exp(rng.uniform(math.log(1e-9), 0.0, rows))
-            )
+        for lam1, lam2, theta, G, P in _edge_draws(np.random.default_rng(23), lam1_range=(1.0, 1e3)):
+            rows = len(lam2)
             cols = (lam2[:, None], theta[:, None])
             scan = _gamma2_at(np.linspace(G, P, 4096), lam1, *cols, G, P)
             grid = _gamma2_at(np.linspace(G, P, P1_GRID), lam1, *cols, G, P)
@@ -376,24 +383,9 @@ class TestGamma2OfP1:
         maximize_gamma2_batch row by row.  10^4 draws; edges: theta at 0
         and 1 and within 1e-7 of them, lambda2/lambda1 down to 1e-9, Gamma
         at 0 and at P."""
-        rng = np.random.default_rng(31)
-        rows = 100
         p1_scan = np.concatenate([[0.0, 1e-12, 1e-7], np.linspace(0.0, 1.0, 509)])
-        for k in range(100):
-            lam1 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e4))))
-            P = float(np.exp(rng.uniform(math.log(0.1), math.log(1e3))))
-            G = (0.0, P, P * float(rng.uniform()))[min(k % 10, 2)]
-            near = 1e-7 * rng.uniform(size=rows)
-            u = rng.uniform(size=rows)
-            theta = np.select(
-                [u < 0.1, u < 0.2, u < 0.35, u < 0.5],
-                [0.0, 1.0, near, 1.0 - near],
-                rng.uniform(size=rows),
-            )
-            u = rng.uniform(size=rows)
-            lam2 = lam1 * np.select(
-                [u < 0.1, u < 0.2], [1e-9, 1.0], np.exp(rng.uniform(math.log(1e-9), 0.0, rows))
-            )
+        for lam1, lam2, theta, G, P in _edge_draws(np.random.default_rng(31)):
+            rows = len(lam2)
             lower, upper = gamma2_bounds(lam1, lam2, theta, G, P)
             p1 = G + (P - G) * p1_scan
             scan = _gamma2_at(p1, lam1, lam2[:, None], theta[:, None], G, P)
@@ -406,28 +398,6 @@ class TestGamma2OfP1:
                 prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G, math.nan)
                 assert max(gamma2_of_p1(float(p), ch, prm)[0] for p in p1[::8]) <= upper[j]
 
-
-
-def _edge_draws(rng, groups=100, rows=100):
-    """groups x rows draws that share (lambda1, Gamma, P) within a group;
-    edges: theta at 0 and 1 and within 1e-7 of them, lambda2/lambda1 down to
-    1e-9, Gamma at 0 and at P."""
-    for k in range(groups):
-        lam1 = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e4))))
-        P = float(np.exp(rng.uniform(math.log(0.1), math.log(1e3))))
-        G = (0.0, P, P * float(rng.uniform()))[min(k % 10, 2)]
-        near = 1e-7 * rng.uniform(size=rows)
-        u = rng.uniform(size=rows)
-        theta = np.select(
-            [u < 0.1, u < 0.2, u < 0.35, u < 0.5],
-            [0.0, 1.0, near, 1.0 - near],
-            rng.uniform(size=rows),
-        )
-        u = rng.uniform(size=rows)
-        lam2 = lam1 * np.select(
-            [u < 0.1, u < 0.2], [1e-9, 1.0], np.exp(rng.uniform(math.log(1e-9), 0.0, rows))
-        )
-        yield lam1, lam2, theta, G, P
 
 
 def _golden_rows(lam1, lam2, theta, G, P):
