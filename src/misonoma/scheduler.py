@@ -20,7 +20,7 @@ their interference estimates, projected channels and scalar reductions are
 array operations over the pool's weak rows (candidate_reductions), and the
 parts that do not depend on the pairing state are computed once per
 cluster.  Scoring is bound-and-prune.  Each candidate's weak SINR at the
-endpoint p1 = Gamma is a value the p1 search never falls below, and a
+endpoint p1 = Gamma is a value its score never falls below, and a
 closed-form bound (two_user_core.gamma2_bounds) caps it over all of
 [Gamma, P]; a candidate whose cap lies below the best endpoint value cannot
 win and is dropped.  Usually one candidate is left, which wins outright;
@@ -398,12 +398,12 @@ def schedule_targets(
     its own unpaired rows, designed beams and plans, and so its own
     candidate reductions.  For each target, the rows whose gamma2_bounds
     upper bound lies strictly below the largest lower bound of that
-    target's rows are dropped (score -inf): the search can only return a
+    target's rows are dropped (score -inf): scoring can only return a
     value at or above its row's lower bound, and at or below its upper
-    bound.  A target left with one row pairs it without a search; the rows
+    bound.  A target left with one row pairs it without scoring; the rows
     of targets left with two or more are stacked into one
     maximize_gamma2_batch call, with Gamma given per row.  Row by row that
-    search is the single-target one, and a dropped row can neither be the
+    call scores as a single-target one, and a dropped row can neither be the
     maximum nor tie it, so the winner (ties to the lowest uid) and every
     output equal those of an unpruned pass at the target alone.  Every
     target is checked before any is scheduled.
@@ -442,15 +442,15 @@ def schedule_targets(
         # endpoint value cannot win, and a target left with one row has won
         lower, upper = gamma2_bounds(lam1, lam2, theta, G, P)
         best = np.full(len(lam2), -np.inf)
-        search = []
+        scored = []
         for lo, hi in zip(ends - counts, ends):
             keep = lo + np.flatnonzero(~(upper[lo:hi] < lower[lo:hi].max(initial=-np.inf)))
             if len(keep) == 1:
                 best[keep] = lower[keep]
             elif len(keep):
-                search.append(keep)
-        if search:
-            rows = np.concatenate(search)
+                scored.append(keep)
+        if scored:
+            rows = np.concatenate(scored)
             best[rows] = maximize_gamma2_batch(lam1, lam2[rows], theta[rows], G[rows], P)
         parts = np.split(best, ends[:-1])
         for t, (Gamma, ok, part) in enumerate(zip(gammas, oks, parts)):

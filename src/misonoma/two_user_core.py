@@ -347,7 +347,7 @@ def gamma2_of_p1(
 
 def _gamma2_vec(lam1, lam2, th, G, P):
     """select_case's gamma2 on arrays, as a function of p1: the array form
-    of the rule, for the batched candidate search and the grid scans that
+    of the rule, for the batched candidate scoring and the grid scans that
     check it (numpy costs more than math per scalar evaluation).  The
     reductions lambda1, lambda2, theta, Gamma and P are scalars or arrays
     that broadcast against p1; the terms that do not depend on p1 are
@@ -404,7 +404,7 @@ def _region_vec(lam1, lam2, th, G, P):
     power control, and p1 -> Gamma as lambda2 -> 0.  The arguments are
     scalars or arrays that broadcast together.
     """
-    th = np.asarray(th, dtype=float)  # so that theta = 0 divides as floats do in numpy
+    th = np.asarray(th, dtype=float)  # a float theta = 0 would raise ZeroDivisionError in _tau
     tG = th * G
     one_th = 1.0 - th
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -435,7 +435,7 @@ def gamma2_bounds(
     """Row-wise (lower, upper) bounds on maximize_gamma2_batch's result for
     the same arguments.
 
-    lower is the user-2 SINR at the endpoint p1 = Gamma, which the search
+    lower is the user-2 SINR at the endpoint p1 = Gamma, which the batch
     returns when nothing beats it.  upper caps the SINR at every p1 in
     [Gamma, P] in closed form, (P - Gamma) * min(lambda1/(1 + Gamma*lambda1),
     lambda2), times BOUND_GUARD.  At p1 the three cases give a^2, the
