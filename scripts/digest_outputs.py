@@ -3,8 +3,8 @@
 checkouts.
 
 Runs every case of tests/test_reference_outputs.py (CASES) plus a fixed
-pareto-boundary, angle-sweep and oracle-check through cli.main into a
-temporary directory, then prints one line per file written: its sha256 and
+pareto-boundary, angle-sweep and oracle-check, and two longer runs on the
+fallback configuration, through cli.main into a temporary directory, then prints one line per file written: its sha256 and
 its name.  Run it on both checkouts and compare the listings; the package
 imported is the one on PYTHONPATH, the cases are this checkout's:
 
@@ -37,6 +37,16 @@ EXTRA = {
         "--p-cluster", "10", "--points", "401",
     ],
     "oracle_check_50": ["oracle-check", "--instances", "50", "--seed", "2024"],
+    # weak users as strong as the strong ones: these two runs reach the
+    # scoring's case-2 p1 search about 750 times, the cases above only 9
+    "schedule_fallback_200": [
+        "schedule-sim", "--config", "{ref}/fallback_config.json", "--trials", "200",
+        "--seed", "20", "--dump-beams",
+    ],
+    "gamma_sweep_fallback_100": [
+        "gamma-sweep", "--config", "{ref}/fallback_config.json", "--trials", "100",
+        "--seed", "20", "--gamma-min", "0", "--gamma-max", "5", "--gamma-points", "8",
+    ],
 }
 
 
