@@ -4,9 +4,7 @@ from .angle_analysis import (
     PowerBranch,
     SimplePowerResult,
     ThetaBand,
-    ThetaRegion,
     ThetaRegionResult,
-    classify_theta_region,
     gamma2_fixed_vs_theta,
     gamma2_simple_power,
     optimal_theta_region,
@@ -47,18 +45,13 @@ from .simulation import (
 )
 from .two_user_core import (
     BeamSolution,
-    CaseCoefficients,
     CaseTag,
     DerivedParams,
     InfeasibleTargetError,
     OptRegion,
     TwoUserChannel,
-    achieved_gamma2,
-    achieved_user1_sinr,
-    alpha1_star,
     alpha1_star_fixed,
     case3_closed_form_p1,
-    case_coeffs,
     channel_from_quality,
     classify_case,
     derive_params,

@@ -31,12 +31,6 @@ from .two_user_core import (
 _THETA_TOL = 1e-12
 
 
-class ThetaRegion(Enum):
-    N1 = 1
-    N2 = 2
-    N3 = 3
-
-
 class ThetaBand(Enum):
     IN_BAND = "in_band"
     LOW_OUT_OF_BAND = "low_out_of_band"
@@ -55,7 +49,7 @@ class ThetaRegionResult:
     gamma_bounds delimits the targets for which a whole plateau of optimal
     angles exists; outside it the optimum is either another closed-form
     interval or a single stationary angle.  An empty band is encoded as
-    (+inf, -inf).  theta0 equals theta_opt_low.
+    (+inf, -inf).
     """
 
     gamma_bounds: tuple[float, float]
@@ -64,7 +58,6 @@ class ThetaRegionResult:
     branch: ThetaBand
     z1: float
     z2: float
-    theta0: float
 
 
 @dataclass
@@ -81,13 +74,6 @@ def gamma2_fixed_vs_theta(
 ) -> float:
     """Fixed-power (p1 = p2 = 1) weak-user SINR as a function of the angle."""
     return _fixed_case(theta, lambda1, lambda2, Gamma)[0]
-
-
-def classify_theta_region(
-    theta: float, lambda1: float, lambda2: float, Gamma: float
-) -> ThetaRegion:
-    """Which fixed-power case holds at this angle (ties to the lower region)."""
-    return ThetaRegion(_fixed_case(theta, lambda1, lambda2, Gamma)[1].value)
 
 
 def _fixed_case(theta: float, lambda1: float, lambda2: float, Gamma: float):
@@ -144,7 +130,6 @@ def optimal_theta_region(
             branch=ThetaBand.IN_BAND,
             z1=z1,
             z2=z2,
-            theta0=theta0,
         )
 
     if Gamma <= (l2i - l1i) / (1.0 + l2i):
@@ -157,7 +142,6 @@ def optimal_theta_region(
             branch=ThetaBand.LOW_OUT_OF_BAND,
             z1=z1,
             z2=z2,
-            theta0=lo,
         )
 
     # stationary angle of the crossing branch between the plateau edge
@@ -178,7 +162,6 @@ def optimal_theta_region(
         branch=ThetaBand.HIGH_OUT_OF_BAND,
         z1=z1,
         z2=z2,
-        theta0=th_star,
     )
 
 

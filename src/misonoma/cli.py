@@ -161,19 +161,19 @@ def _dump_beams(path: str, outputs) -> None:
         for t, (out, pool) in enumerate(outputs):
             clusters = []
             for plan in out.clusters:
-                strong = pool.by_id(plan.strong_id)
+                strong_h, strong_eps_sq = pool.row(plan.strong_id)
                 entry = {
                     "strong_id": plan.strong_id,
                     "weak_id": plan.weak_id,
-                    "strong_h": vec(strong.h),
-                    "strong_eps_sq": strong.eps_sq,
+                    "strong_h": vec(strong_h),
+                    "strong_eps_sq": strong_eps_sq,
                     "w1": vec(plan.w1_tilde),
                     "w2": vec(plan.w2_tilde),
                 }
                 if plan.weak_id is not None:
-                    weak = pool.by_id(plan.weak_id)
-                    entry["weak_h"] = vec(weak.h)
-                    entry["weak_eps_sq"] = weak.eps_sq
+                    weak_h, weak_eps_sq = pool.row(plan.weak_id)
+                    entry["weak_h"] = vec(weak_h)
+                    entry["weak_eps_sq"] = weak_eps_sq
                 clusters.append(entry)
             fh.write(json.dumps({"trial_id": t, "clusters": clusters}) + "\n")
 

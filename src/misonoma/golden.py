@@ -1,5 +1,6 @@
-"""Golden-section search for 1-D maximization: one scalar recurrence, run on
-one bracket or row by row on many brackets side by side as numpy arrays."""
+"""Golden-section search for 1-D maximization: one scalar recurrence, and
+the same recurrence on many brackets side by side as numpy arrays, for the
+oracle's alpha2 polish and the tests' row-wise reference."""
 
 from __future__ import annotations
 
@@ -50,15 +51,15 @@ def golden_section_max(f, lo: float, hi: float, xtol: float = 1e-10):
 
 
 def vector_golden_section_max(f, lo: np.ndarray, hi: np.ndarray, xtol: float):
-    """golden_section_max on many brackets [lo, hi] (lo <= hi) at once.
+    """golden_section_max's recurrence on many brackets [lo, hi] (lo <= hi)
+    at once.
 
     f maps an array of points to an array of values of the same shape.
-    Each row runs golden_section_max's recurrence, with one new evaluation
-    per shrink, for its own step count (golden_steps of its width), and a
-    row of width <= xtol returns its midpoint; so on every row (x, f(x))
-    equals the scalar result bitwise whenever f does.  f is evaluated on
-    whole arrays, so a row that has finished rides along through the later
-    shrinks and its result is the one taken when it finished.
+    Every row runs the step count of the widest bracket, with one new
+    evaluation per shrink, so rows of that width return golden_section_max's
+    (x, f(x)) bitwise whenever f does; a narrower row shrinks further, to a
+    point within xtol of the scalar result that is no worse on a unimodal
+    f.  When every bracket is within xtol, the midpoints are returned.
     """
     a = np.asarray(lo, dtype=float)
     b = np.asarray(hi, dtype=float)
@@ -68,31 +69,9 @@ def vector_golden_section_max(f, lo: np.ndarray, hi: np.ndarray, xtol: float):
         return x, f(x)
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
-    # stops: step count -> the rows that stop there; every row takes the
-    # result of the first stop unless a later one overwrites it
-    widths, at = np.unique(h, return_inverse=True)
-    steps = np.array([golden_steps(w, xtol) - 1 if w > xtol else 0 for w in widths.tolist()])
-    steps = steps[at.reshape(h.shape)]
-    stops = {n: steps == n for n in set(steps.tolist())}
-    tiny = h <= xtol
-    if tiny.any():  # c = d = the midpoint, which their stop at step 0 picks
-        c = np.where(tiny, 0.5 * (a + b), c)
-        d = np.where(tiny, c, d)
     yc = f(c)
     yd = f(d)
-    x_out = y_out = None
-    last = max(stops)
-    for i in range(last + 1):
-        if i in stops:
-            take = yc > yd
-            x, y = np.where(take, c, d), np.where(take, yc, yd)
-            if x_out is None:
-                x_out, y_out = x, y
-            else:
-                done = stops[i]
-                x_out, y_out = np.where(done, x, x_out), np.where(done, y, y_out)
-        if i == last:
-            return x_out, y_out
+    for _ in range(golden_steps(float(h.max()), xtol) - 1):
         h = h * _INVPHI
         take = yc > yd  # keep [a, d]: the new point is c; else [c, b]: it is d
         a = np.where(take, a, c)
@@ -100,3 +79,5 @@ def vector_golden_section_max(f, lo: np.ndarray, hi: np.ndarray, xtol: float):
         y = f(x)
         c, d = np.where(take, x, d), np.where(take, c, x)
         yc, yd = np.where(take, y, yd), np.where(take, yc, y)
+    take = yc > yd
+    return np.where(take, c, d), np.where(take, yc, yd)

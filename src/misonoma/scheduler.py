@@ -26,13 +26,13 @@ closed-form bound (two_user_core.gamma2_bounds) caps it over all of
 win and is dropped.  Usually one candidate is left, which wins outright;
 the rest are scored by region in one maximize_gamma2_batch call.
 The paper's region rule (two_user_core._region_vec) predicts each row's
-case at the optimum: a row predicted case 3, or with theta = 1, takes the
-SINR at its closed-form p1 (the case-3 stationary point, p1 = Gamma at
-theta = 1); only rows predicted case 2, rows with theta = 0 and rows whose
-closed form is not finite go through the row-wise golden section over p1
-in [Gamma, P] (the scalar search's recurrence on arrays).  Several targets
-run in lockstep, cluster by cluster: each keeps its own pairing state, and
-one call scores the candidates of all of them, with Gamma given per row.
+case at the optimum: a row predicted case 3 takes the SINR at its
+closed-form p1 (the case-3 stationary point, p1 = Gamma at theta = 1);
+only rows predicted case 2 (theta = 0 always is) and rows whose closed
+form is not finite run the scalar p1 search, one row at a time.  Several
+targets run in lockstep, cluster by cluster: each keeps its own pairing
+state, and one call scores the candidates of all of them, with Gamma given
+per row.
 The score only picks the winner: each target's winner goes through the
 scalar design (estimate_ici, project_complement, derive_params,
 optimize_p1), which builds its beams.
@@ -124,8 +124,8 @@ class UserPool:
 
     The weak rows are held in uid order, the order in which the scheduler
     scores them and breaks ties; the strong rows keep their given order.
-    User ids must be unique across the pool.  strong, weak and by_id are
-    read-only User views, built on first access.
+    User ids must be unique across the pool.  strong and weak are read-only
+    User views, built on first access; row(uid) looks one user up.
     """
 
     strong_rows: UserGroup
@@ -169,13 +169,6 @@ class UserPool:
     @cached_property
     def weak(self) -> tuple[User, ...]:
         return self.weak_rows.users()
-
-    @cached_property
-    def _by_id(self) -> dict[int, User]:
-        return {u.uid: u for u in self.strong + self.weak}
-
-    def by_id(self, uid: int) -> User:
-        return self._by_id[uid]
 
 
 @dataclass

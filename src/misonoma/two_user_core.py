@@ -26,25 +26,26 @@ predicted, the optimum p1 is also known in closed form
 
 Each formula is written once: _alpha1 is the minimal user-1 weight, _coeffs
 the inner coefficients at powers (p1, p2), select_case the three-case rule,
-and _max_over_p1 the p1 search; _gamma2_vec is the array form of the rule,
-and _region_vec the array form of the region prediction and the case-3
-p1, which classify_case and case3_closed_form_p1 evaluate at one instance.
-maximize_gamma2_batch scores many instances by region, with the row-wise
-search only where the closed form does not apply; gamma2_bounds brackets
-its result, with a closed-form cap over all of [Gamma, P], so that the
-scheduler can drop candidates before they are scored.
+and _max_over_p1 the one p1 search; _gamma2_vec is the array form of the
+rule, and _region_vec the array form of the region prediction and the
+case-3 p1, which classify_case and case3_closed_form_p1 evaluate at one
+instance.  maximize_gamma2_batch scores many instances by region, and runs
+_max_over_p1 on the scalar rule, one row at a time, only where the closed
+form does not apply; gamma2_bounds brackets its result, with a closed-form
+cap over all of [Gamma, P], so that the scheduler can drop candidates
+before they are scored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .complex_linalg import angle_theta, as_cvec
-from .golden import golden_section_max, vector_golden_section_max
+from .golden import golden_section_max
 
 # Resolution of the p1 search over [Gamma, P].
 P1_XTOL = 1e-10
@@ -164,16 +165,14 @@ class DerivedParams:
     """Scalar reduction of a design instance.
 
     lambda_i are the per-user channel SNR qualities, theta the squared
-    channel correlation, Gamma = gamma1*/lambda1 the normalized user-1
-    target, and tau the region-test threshold (set to +inf when theta = 0,
-    where the 1/theta divergence makes case 2 always win).
+    channel correlation and Gamma = gamma1*/lambda1 the normalized user-1
+    target.
     """
 
     lambda1: float
     lambda2: float
     theta: float
     Gamma: float
-    tau: float
 
     @property
     def gamma1_star(self) -> float:
@@ -196,9 +195,7 @@ def derive_params(ch: TwoUserChannel, gamma1_star: float) -> DerivedParams:
             f"normalized target Gamma={Gamma:.6g} exceeds cluster power P={ch.P:.6g}"
         )
     Gamma = min(Gamma, ch.P)
-    theta = ch.theta
-    tau = math.inf if theta == 0.0 else _tau(lam1, lam2, theta, Gamma)
-    return DerivedParams(lam1, lam2, theta, Gamma, tau)
+    return DerivedParams(lam1, lam2, ch.theta, Gamma)
 
 
 def _tau(lam1, lam2, th, G):
@@ -235,11 +232,6 @@ def alpha1_star_fixed(theta: float, Gamma: float) -> float:
     return _alpha1(theta, Gamma, 1.0)
 
 
-def alpha1_star(p1: float, params: DerivedParams) -> float:
-    """Minimal user-1 parallel weight at power p1 (requires p1 >= Gamma)."""
-    return _alpha1(params.theta, params.Gamma, p1)
-
-
 def alpha1_beta1(p1: float, params: DerivedParams) -> tuple[float, float]:
     """(alpha1*, beta1*) meeting the user-1 constraint at power p1.
 
@@ -262,30 +254,16 @@ def alpha1_beta1(p1: float, params: DerivedParams) -> tuple[float, float]:
     return _alpha1(th, t2, 1.0), b1
 
 
-@dataclass
-class CaseCoefficients:
-    """Inner-problem coefficients at a given p1.
-
-    a scales user 1's decoding branch, b/c the parallel/orthogonal parts of
-    user 2's own branch (all in the square-root SINR domain and including
-    the sqrt(P-p1) factor).  d = b + c^2/b separates cases 2 and 3; it is
-    +inf when b = 0 (theta = 0), where case 3 never applies.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float = field(init=False)
-
-    def __post_init__(self):
-        self.d = self.b + self.c**2 / self.b if self.b > 0.0 else math.inf
-
-
 def _coeffs(
     lam1: float, lam2: float, th: float, G: float, p1: float, p2: float
 ) -> tuple[float, float, float]:
     """Inner-problem coefficients (a, b, c) at powers (p1, p2): the design
-    spends p2 = P - p1, the fixed-power design p1 = p2 = 1."""
+    spends p2 = P - p1, the fixed-power design p1 = p2 = 1.
+
+    a scales user 1's decoding branch, b/c the parallel/orthogonal parts of
+    user 2's own branch, all in the square-root SINR domain and including
+    the sqrt(p2) factor.
+    """
     a1 = _alpha1(th, G, p1)
     root = math.sqrt(max(p2, 0.0))
     den = lam2 * p1 * a1 * a1 + 1.0
@@ -293,13 +271,6 @@ def _coeffs(
     b = root * math.sqrt(lam2 * th / den)
     c = root * math.sqrt(lam2 * (1.0 - th) / den)
     return a, b, c
-
-
-def case_coeffs(p1: float, ch: TwoUserChannel, params: DerivedParams) -> CaseCoefficients:
-    """Evaluate the inner-problem coefficients a, b, c (and d) at p1."""
-    return CaseCoefficients(
-        *_coeffs(params.lambda1, params.lambda2, params.theta, params.Gamma, p1, ch.P - p1)
-    )
 
 
 def select_case(
@@ -328,8 +299,9 @@ def classify_case(ch: TwoUserChannel, params: DerivedParams) -> OptRegion:
     Case 2 wins iff theta*Gamma < tau, or tau >= 0 with enough total power:
     P >= Gamma + (sqrt(theta*Gamma)-sqrt(tau)) * (sqrt(theta*Gamma)
     + 1/(lambda2*sqrt(tau))) / (1-theta).  Degenerate limits: theta = 0
-    gives tau = +inf (case 2); tau = 0 or theta = 1 push the power
-    threshold to +inf (case 3).
+    gives tau = +inf (case 2); tau = 0 pushes the power threshold to +inf
+    (case 3); theta = 1 is case 3, with the optimum at p1 = Gamma (pure
+    power control), whatever tau rounds to.
     """
     case2, _ = _region_vec(params.lambda1, params.lambda2, params.theta, params.Gamma, ch.P)
     return OptRegion.OPT_IN_P2 if case2 else OptRegion.OPT_IN_P3
@@ -388,7 +360,9 @@ def _region_vec(lam1, lam2, th, G, P):
     """The paper's region rule on arrays: (case2, p1), row by row.
 
     case2 is classify_case's prediction (True: the optimal p1 lies where
-    case 2 holds; theta = 0 is always case 2).  p1 is the case-3 optimum,
+    case 2 holds; theta = 0 is always case 2, theta = 1 never: with
+    lambda1 == lambda2, tau can round an ulp above theta*Gamma there).
+    p1 is the case-3 optimum,
     the stationary point of user 2's own branch b^2 + c^2
     (case3_closed_form_p1), clamped to [Gamma, P].  With
     m = theta*Gamma + (1-theta)(P-Gamma), psi2 = theta*Gamma - (1-theta)(P-Gamma)
@@ -414,7 +388,7 @@ def _region_vec(lam1, lam2, th, G, P):
         tau = _tau(lam1, lam2, th, G)
         rt_tG, rt_tau = np.sqrt(tG), np.sqrt(tau)
         thr = G + (rt_tG - rt_tau) * (rt_tG + 1.0 / (lam2 * rt_tau)) / one_th
-    case2 = (th == 0.0) | (tG < tau) | ((tau > 0.0) & (th != 1.0) & (P >= thr))
+    case2 = (th == 0.0) | ((th != 1.0) & ((tG < tau) | ((tau > 0.0) & (P >= thr))))
     rem = P - G
     m = tG + one_th * rem
     psi2 = tG - one_th * rem
@@ -484,29 +458,28 @@ def maximize_gamma2_batch(
     normalized target Gamma is a scalar or one entry per instance (the
     scheduler stacks the candidates of several targets in one call).
 
-    Each row is solved by region (_region_vec).  A row predicted case 3,
-    and every row with theta = 1, takes the SINR at its case-3 optimum p1
-    (p1 = Gamma at theta = 1).  The rows predicted case 2, the rows with
-    theta = 0 and the rows whose closed form is not finite run
-    maximize_gamma2_over_p1's search on arrays instead: the same
-    golden-section recurrence over [Gamma, P], run for that row's own step
-    count.  Either value is taken as the max with the endpoint value at
-    p1 = Gamma, so gamma2_bounds' lower bound holds.  The values agree with
-    the scalar search to round-off; where the search stops P1_XTOL short of
-    the optimum, the closed form can lie above it.
+    Each row is solved by region (_region_vec).  A row predicted case 3
+    (every row with theta = 1 is) takes the SINR at its case-3 optimum p1
+    (p1 = Gamma at theta = 1).  The rows predicted case 2 (every row with
+    theta = 0 is) and the rows whose closed form is not finite run
+    maximize_gamma2_over_p1's search, _max_over_p1 on the scalar rule, one
+    row at a time.  Either value is taken as the max with the array form's
+    value at p1 = Gamma, so gamma2_bounds' lower bound holds.  Where the
+    search stops P1_XTOL short of the optimum, the closed form can lie
+    above it.
     """
     ends = np.zeros(lam2.shape) + Gamma
     case2, p1 = _region_vec(lam1, lam2, theta, ends, P)
-    search = (case2 & (theta != 1.0)) | (theta == 0.0) | ~np.isfinite(p1)
+    search = case2 | ~np.isfinite(p1)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = _gamma2_vec(lam1, lam2, theta, ends, P)
-        best = f(np.where(search, ends, p1))
-        rows = np.flatnonzero(search)
-        if rows.size:
-            f_rows = _gamma2_vec(lam1, lam2[rows], theta[rows], ends[rows], P)
-            hi = np.full(rows.size, float(P))
-            _, best[rows] = vector_golden_section_max(f_rows, ends[rows], hi, P1_XTOL)
-        return np.maximum(best, f(ends))
+        best = np.maximum(f(np.where(search, ends, p1)), f(ends))
+    lam1, P = float(lam1), float(P)
+    for i in np.flatnonzero(search).tolist():
+        l2, th, G = float(lam2[i]), float(theta[i]), float(ends[i])
+        _, v = _max_over_p1(lambda p: select_case(*_coeffs(lam1, l2, th, G, p, P - p), th)[0], G, P)
+        best[i] = max(v, best[i])
+    return best
 
 
 @dataclass
@@ -696,15 +669,3 @@ def pareto_boundary(ch: TwoUserChannel, n_points: int) -> list[tuple[float, floa
         rows.append((log2_1p(params.gamma1_star), r2_fixed, r2_power))
     return rows
 
-
-def achieved_user1_sinr(sol: BeamSolution, ch: TwoUserChannel) -> float:
-    """User-1 SINR realized by the scaled beams (interference cancelled)."""
-    return sol.s1 / ch.sigma1_sq
-
-
-def achieved_gamma2(sol: BeamSolution, ch: TwoUserChannel) -> float:
-    """User-2 SINR realized by the scaled beams."""
-    return min(
-        sol.r1 / (sol.s1 + ch.sigma1_sq),
-        sol.s2 / (sol.r2 + ch.sigma2_sq),
-    )

@@ -24,8 +24,8 @@ from misonoma.simulation import SimConfig, aggregate_means, generate_channels, r
 from misonoma.two_user_core import (
     CaseTag,
     OptRegion,
+    _coeffs,
     case3_closed_form_p1,
-    case_coeffs,
     channel_from_quality,
     classify_case,
     derive_params,
@@ -94,8 +94,10 @@ def test_criterion_02_region_prediction_matches_oracle(battery):
         if tag is expect:
             agree += 1
         else:
-            cc = case_coeffs(row.oracle.p1, row.ch, row.params)
-            near = min(abs(cc.a - cc.b), abs(cc.a - cc.d)) <= 1e-6
+            prm, p1 = row.params, row.oracle.p1
+            a, b, c = _coeffs(prm.lambda1, prm.lambda2, prm.theta, prm.Gamma, p1, row.ch.P - p1)
+            d = b + c**2 / b if b > 0.0 else math.inf  # the case-2/3 boundary
+            near = min(abs(a - b), abs(a - d)) <= 1e-6
             boundary_ok = boundary_ok and near
     frac = agree / len(rows)
     _report(
@@ -269,7 +271,7 @@ def test_criterion_09_scheduler_zero_forcing():
         pool = generate_channels(cfg, rng)
         out = schedule(pool, zf_select(pool.strong_rows, SUSConfig(4, 0.4)), cfg.p_total, gamma)
         for k, plan in enumerate(out.clusters):
-            hs = pool.by_id(plan.strong_id).h
+            hs, _ = pool.row(plan.strong_id)
             s1 = abs(np.vdot(hs, plan.w1_tilde)) ** 2
             ici = sum(
                 abs(np.vdot(hs, w)) ** 2

@@ -7,15 +7,15 @@ import pytest
 from misonoma.angle_analysis import (
     PowerBranch,
     ThetaBand,
-    ThetaRegion,
     _beam_angle,
-    classify_theta_region,
+    _fixed_case,
     gamma2_fixed_vs_theta,
     gamma2_simple_power,
     optimal_theta_region,
     matched_filter_limit_check,
 )
 from misonoma.two_user_core import (
+    CaseTag,
     _gamma2_vec,
     channel_from_quality,
     derive_params,
@@ -47,16 +47,17 @@ class TestGamma2FixedVsTheta:
 
 
 class TestClassifyThetaRegion:
+    # the fixed-power case tag, select_case at unit powers
     def test_aligned_is_weakest_region(self):
-        assert classify_theta_region(1.0, 10.0, 3.0, 0.2) is ThetaRegion.N3
+        assert _fixed_case(1.0, 10.0, 3.0, 0.2)[1] is CaseTag.CASE3
 
     def test_near_orthogonal_is_crossing_region(self):
-        assert classify_theta_region(1e-9, 10.0, 3.0, 0.2) is ThetaRegion.N2
+        assert _fixed_case(1e-9, 10.0, 3.0, 0.2)[1] is CaseTag.CASE2
 
     def test_boundaries_match_sign_changes(self):
         lam1, lam2, G = 10.0, 3.0, 0.2
         grid = np.linspace(1e-6, 1.0, 10001)
-        regions = [classify_theta_region(float(t), lam1, lam2, G) for t in grid]
+        regions = [_fixed_case(float(t), lam1, lam2, G)[1] for t in grid]
         # region index can only change where a coefficient comparison flips
         changes = sum(1 for a, b in zip(regions, regions[1:]) if a is not b)
         assert changes <= 3
@@ -81,7 +82,7 @@ class TestClassifyThetaRegion:
             sol = fixed_power_design(ch, params)
             args = (params.theta, params.lambda1, params.lambda2, params.Gamma)
             assert gamma2_fixed_vs_theta(*args) == sol.gamma2_star
-            assert classify_theta_region(*args).value == sol.case_tag.value
+            assert _fixed_case(*args)[1] is sol.case_tag
 
 
 class TestOptimalThetaRegion:
@@ -91,7 +92,7 @@ class TestOptimalThetaRegion:
         assert res.gamma_bounds[0] == pytest.approx(0.0, abs=1e-12)
         assert res.gamma_bounds[1] == pytest.approx(1.0, rel=1e-12)
         # 1/(1+Gamma*lam1) = 1/3 <= 1-Gamma so theta0 = 1/3
-        assert res.theta0 == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert res.theta_opt_low == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert res.theta_opt_high == pytest.approx(1.0, rel=1e-12)
 
     def test_low_out_of_band_plateau(self):
@@ -132,7 +133,7 @@ class TestOptimalThetaRegion:
             # the SINR at p1 = 1 of a design with P = 2 is the fixed-power SINR
             with np.errstate(divide="ignore", invalid="ignore"):
                 scan = _gamma2_vec(lam1, lam2, grid, G, 2.0)(np.ones_like(grid))
-            best = gamma2_fixed_vs_theta(res.theta0, lam1, lam2, G)
+            best = gamma2_fixed_vs_theta(res.theta_opt_low, lam1, lam2, G)
             assert best >= (1.0 - 1e-9) * scan.max(), (lam1, lam2, G)
             checked += 1
 

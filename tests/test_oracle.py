@@ -84,10 +84,12 @@ def test_result_point_is_feasible():
 
 def test_vector_golden_matches_scalar_golden():
     # one bracket per row; maxima inside the brackets and at their edges.
-    # Rows have different widths, each row runs its own step count, and
-    # every row must equal the scalar search bitwise: the third row is
-    # narrower, the sixth has width 0 and the seventh a width below xtol,
-    # where the scalar search returns the midpoint.
+    # Every row runs the widest row's step count: rows of equal width, and
+    # rows that are all within xtol (the sixth has width 0, the seventh a
+    # width below xtol; both return the midpoint), equal the scalar search
+    # bitwise, and so do the widest rows of a call.  A narrower row of a
+    # call with mixed widths (the third row) lies within xtol of the scalar
+    # argmax and its value is not below the scalar value.
     xtol = 1e-12
     lo = np.array([0.0, 2.0, 0.2, 0.0, 0.0, 0.4, 0.7])
     hi = np.array([1.0, 3.0, 0.9, 1.0, 1.0, 0.4, 0.7 + 0.5 * xtol])
@@ -102,12 +104,18 @@ def test_vector_golden_matches_scalar_golden():
         return np.minimum(slope[row] * x, np.sqrt(np.clip(1.0 - x * x, 0.0, None)))
 
     for f in (unimodal, kinked):
-        for rows in (slice(None), [0, 3, 4], [2, 5], [5, 6]):
+        for rows, same_width in (
+            (slice(None), False), ([0, 3, 4], True), ([2, 5], False), ([5, 6], True)
+        ):
             x_vec, y_vec = vector_golden_section_max(
                 lambda x: f(x, rows), lo[rows], hi[rows], xtol=xtol
             )
+            h = hi[rows] - lo[rows]
             for k, i in enumerate(np.arange(lo.size)[rows]):
                 x, y = golden_section_max(
                     lambda t: float(f(t, i)), float(lo[i]), float(hi[i]), xtol=xtol
                 )
-                assert x_vec[k] == x and y_vec[k] == y
+                if same_width or h[k] == h.max():
+                    assert x_vec[k] == x and y_vec[k] == y
+                else:
+                    assert abs(x_vec[k] - x) <= xtol and y_vec[k] >= y

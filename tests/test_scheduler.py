@@ -168,8 +168,8 @@ class TestUserPool:
                 assert got.eps_sq.tobytes() == eps[half:][order].tobytes()
             for u in users:
                 h, eps_sq = arrays.row(u.uid)
-                assert pool.by_id(u.uid).h.tobytes() == h.tobytes() == u.h.tobytes()
-                assert pool.by_id(u.uid).eps_sq == eps_sq == u.eps_sq
+                assert pool.row(u.uid)[0].tobytes() == h.tobytes() == u.h.tobytes()
+                assert pool.row(u.uid)[1] == eps_sq == u.eps_sq
             sus = SUSConfig(nt, 0.5)
             sel = [zf_select(p.strong_rows, sus) for p in (arrays, pool)]
             assert sel[0].uid.tolist() == sel[1].uid.tolist()
@@ -228,7 +228,7 @@ class TestUserPool:
         with pytest.raises(ValueError):
             pool.strong_rows.H[0, 0] = 2.0
         with pytest.raises(ValueError):
-            pool.by_id(0).h[0] = 2.0
+            pool.strong[0].h[0] = 2.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             pool.weak[0].eps_sq = 3.0
 
@@ -357,7 +357,7 @@ class TestSchedule:
                 out = schedule(pool, strong, P_T, Gamma)
                 assert out.Kc >= 1
                 for k, plan in enumerate(out.clusters):
-                    hs = pool.by_id(plan.strong_id).h
+                    hs, _ = pool.row(plan.strong_id)
                     others = [
                         w
                         for kk, other in enumerate(out.clusters)
@@ -746,7 +746,7 @@ class TestScheduleProperties:
         Gamma = frac * P_T / len(strong)
         out = schedule(pool, strong, P_T, Gamma)
         for k, plan in enumerate(out.clusters):
-            hs = pool.by_id(plan.strong_id).h
+            hs, eps = pool.row(plan.strong_id)
             others = [
                 w
                 for kk, other in enumerate(out.clusters)
@@ -758,7 +758,6 @@ class TestScheduleProperties:
             # leakage below 1e-9 of the signal, or of the noise where the
             # signal is weaker (a target near 0 leaves only round-off)
             s1 = abs(np.vdot(hs, plan.w1_tilde)) ** 2
-            eps = pool.by_id(plan.strong_id).eps_sq
             assert sum(abs(np.vdot(hs, w)) ** 2 for w in others) <= 1e-9 * max(s1, eps)
             power = np.vdot(plan.w1_tilde, plan.w1_tilde).real
             power += np.vdot(plan.w2_tilde, plan.w2_tilde).real

@@ -16,14 +16,13 @@ from misonoma.two_user_core import (
     InfeasibleTargetError,
     OptRegion,
     TwoUserChannel,
+    _alpha1,
+    _coeffs,
     _gamma2_vec,
     _region_vec,
-    achieved_gamma2,
-    achieved_user1_sinr,
-    alpha1_star,
+    _tau,
     alpha1_star_fixed,
     case3_closed_form_p1,
-    case_coeffs,
     channel_from_quality,
     classify_case,
     derive_params,
@@ -35,6 +34,7 @@ from misonoma.two_user_core import (
     maximize_gamma2_over_p1,
     optimize_p1,
     pareto_boundary,
+    select_case,
 )
 
 FIG2 = dict(lambda1=20.0, lambda2=3.0, theta=0.5, P=2.0)
@@ -69,6 +69,23 @@ def _grid_golden_max(f, grid_values, G, P):
     if v_opt < vals[i]:
         p1_opt, v_opt = float(grid[i]), float(vals[i])
     return float(p1_opt), float(v_opt)
+
+
+def _abc(p1, ch, params):
+    """The inner coefficients (a, b, c) of the design at user-1 power p1."""
+    return _coeffs(params.lambda1, params.lambda2, params.theta, params.Gamma, p1, ch.P - p1)
+
+
+def _tau_of(params):
+    """The region-test threshold tau of a reduction."""
+    return _tau(params.lambda1, params.lambda2, params.theta, params.Gamma)
+
+
+def _realized_sinrs(sol, ch):
+    """(user-1 SINR, user-2 SINR) that the scaled beams realize; user 1
+    cancels user 2's signal first."""
+    gamma2 = min(sol.r1 / (sol.s1 + ch.sigma1_sq), sol.s2 / (sol.r2 + ch.sigma2_sq))
+    return sol.s1 / ch.sigma1_sq, gamma2
 
 
 def _min_alpha1_by_grid(theta, Gamma, p1, n=2_000_001):
@@ -113,13 +130,13 @@ class TestDerivedParams:
         assert params.lambda2 == pytest.approx(3.0, rel=1e-12)
         assert params.theta == pytest.approx(0.5, abs=1e-12)
         # tau = (1/lam1 + Gamma)/theta - 1/lam2 = 2*(0.05+0.5) - 1/3
-        assert params.tau == pytest.approx(0.7666666666666667, rel=1e-12)
+        assert _tau_of(params) == pytest.approx(0.7666666666666667, rel=1e-12)
 
     def test_zero_target(self):
         ch = fig2_channel()
         params = derive_params(ch, 0.0)
         assert params.Gamma == 0.0
-        assert params.tau == pytest.approx(1.0 / 0.5 / 20.0 - 1.0 / 3.0, rel=1e-9)
+        assert _tau_of(params) == pytest.approx(1.0 / 0.5 / 20.0 - 1.0 / 3.0, rel=1e-9)
 
     def test_infeasible_target(self):
         ch = fig2_channel()
@@ -165,7 +182,7 @@ class TestAlpha1:
     def test_p1_at_minimum_power_is_sqrt_theta(self):
         ch = fig2_channel()
         params = derive_params(ch, 0.5 * ch.lambda1)
-        assert alpha1_star(params.Gamma, params) == pytest.approx(
+        assert _alpha1(params.theta, params.Gamma, params.Gamma) == pytest.approx(
             math.sqrt(params.theta), rel=1e-12
         )
 
@@ -173,12 +190,12 @@ class TestAlpha1:
         ch = channel_from_quality(20.0, 3.0, 0.0, 2.0)
         params = derive_params(ch, 0.5 * ch.lambda1)
         for p1 in (params.Gamma, 1.0, 2.0):
-            assert alpha1_star(p1, params) == 0.0
+            assert _alpha1(params.theta, params.Gamma, p1) == 0.0
 
     def test_generic_against_grid(self):
         ch = fig2_channel()
         params = derive_params(ch, 0.5 * ch.lambda1)
-        val = alpha1_star(0.8, params)
+        val = _alpha1(params.theta, params.Gamma, 0.8)
         assert val == pytest.approx(0.12600429248272815, rel=1e-12)
         assert val == pytest.approx(_min_alpha1_by_grid(0.5, 0.5, 0.8), abs=1e-3)
 
@@ -186,42 +203,43 @@ class TestAlpha1:
         ch = fig2_channel()
         params = derive_params(ch, 0.5 * ch.lambda1)
         with pytest.raises(InfeasibleTargetError):
-            alpha1_star(0.25 * params.Gamma, params)
+            _alpha1(params.theta, params.Gamma, 0.25 * params.Gamma)
 
 
 class TestCaseCoefficients:
     def test_full_power_all_zero(self):
         ch = fig2_channel()
         params = derive_params(ch, 0.5 * ch.lambda1)
-        cc = case_coeffs(ch.P, ch, params)
-        assert cc.a == cc.b == cc.c == 0.0
+        a, b, c = _abc(ch.P, ch, params)
+        assert a == b == c == 0.0
 
     def test_theta_zero_b_zero_d_inf(self):
+        # b = 0 puts the case-2/3 boundary b + c^2/b at +inf: never case 3
         ch = channel_from_quality(20.0, 3.0, 0.0, 2.0)
         params = derive_params(ch, 0.5 * ch.lambda1)
-        cc = case_coeffs(1.0, ch, params)
-        assert cc.b == 0.0
-        assert cc.d == math.inf
+        a, b, c = _abc(1.0, ch, params)
+        assert b == 0.0
+        assert select_case(a, b, c, params.theta)[1] is CaseTag.CASE2
 
     def test_a_squared_value(self):
         ch = fig2_channel()
         params = derive_params(ch, 0.5 * ch.lambda1)
-        cc = case_coeffs(0.5, ch, params)
+        a, _, _ = _abc(0.5, ch, params)
         # (P - p1) * lam1 / (1 + Gamma*lam1) = 1.5 * 20 / 11
-        assert cc.a**2 == pytest.approx(30.0 / 11.0, rel=1e-12)
+        assert a**2 == pytest.approx(30.0 / 11.0, rel=1e-12)
 
 
 class TestClassify:
     def test_fig2_case2(self):
         ch = fig2_channel()
         params = derive_params(ch, 0.5 * ch.lambda1)
-        assert params.theta * params.Gamma < params.tau
+        assert params.theta * params.Gamma < _tau_of(params)
         assert classify_case(ch, params) is OptRegion.OPT_IN_P2
 
     def test_negative_tau_case3(self):
         ch = channel_from_quality(10.0, 0.1, 0.5, 10.0)
         params = derive_params(ch, 2.0 * ch.lambda1)
-        assert params.tau < 0
+        assert _tau_of(params) < 0
         assert classify_case(ch, params) is OptRegion.OPT_IN_P3
 
     def test_vanishing_weak_quality_case3(self):
@@ -238,6 +256,20 @@ class TestClassify:
         ch = channel_from_quality(20.0, 3.0, 1.0, 2.0)
         params = derive_params(ch, 0.5 * ch.lambda1)
         assert classify_case(ch, params) is OptRegion.OPT_IN_P3
+
+    def test_aligned_equal_quality_case3(self):
+        # lambda1 == lambda2 at theta = 1: tau can round an ulp above
+        # theta*Gamma = Gamma, which must not make the prediction case 2;
+        # the optimum is p1 = Gamma (pure power control)
+        aligned = 0
+        for lam in np.logspace(-2.0, 2.0, 50):
+            for G in np.linspace(0.0, 2.0, 41):
+                ch = channel_from_quality(lam, lam, 1.0, 2.0)
+                params = derive_params(ch, G * ch.lambda1)
+                if params.theta == 1.0:  # a few come back one ulp below 1
+                    aligned += 1
+                    assert classify_case(ch, params) is OptRegion.OPT_IN_P3, (lam, G)
+        assert aligned >= 2000
 
 
 class TestGamma2OfP1:
@@ -338,9 +370,10 @@ class TestGamma2OfP1:
             np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-15)
 
     def test_batch_with_per_row_targets_matches_one_call_per_target(self):
-        # rows of several targets in one call, Gamma per row: each row runs
-        # its own step count, so the stacked call equals one call per
-        # target bitwise; targets at 0, P, just below P and duplicated
+        # rows of several targets in one call, Gamma per row: each searched
+        # row runs the scalar search on its own, so the stacked call equals
+        # one call per target bitwise; targets at 0, P, just below P and
+        # duplicated
         rng = np.random.default_rng(29)
         lam1, P = 12.0, 3.0
         gammas = [0.4 * P, 0.0, P, P - 1e-11, 0.9 * P, 0.4 * P]
@@ -367,7 +400,7 @@ class TestGamma2OfP1:
             ch = channel_from_quality(lam1, lam1, 1.0, P)  # gamma2_of_p1 reads only P
             new = maximize_gamma2_batch(lam1, lam2, theta, G, P)
             for j in range(rows):
-                prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G, math.nan)
+                prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G)
                 _, old = _grid_golden_max(
                     lambda p: gamma2_of_p1(p, ch, prm)[0], lambda _: grid[j], G, P
                 )
@@ -395,7 +428,7 @@ class TestGamma2OfP1:
             assert (lower <= best).all() and (best <= upper).all()
             ch = channel_from_quality(lam1, lam1, 1.0, P)  # gamma2_of_p1 reads only P
             for j in range(0, rows, 10):
-                prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G, math.nan)
+                prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G)
                 assert max(gamma2_of_p1(float(p), ch, prm)[0] for p in p1[::8]) <= upper[j]
 
 
@@ -411,12 +444,15 @@ def _golden_rows(lam1, lam2, theta, G, P):
 
 
 def _classify_reference(lam1, lam2, th, G, P):
-    """The paper's region test written out on floats: True for case 2."""
+    """The paper's region test written out on floats: True for case 2.
+    theta = 1 is case 3 (p1 = Gamma), whatever tau rounds to."""
+    if th == 1.0:
+        return False
     tau = math.inf if th == 0.0 else (1.0 / lam1 + G) / th - 1.0 / lam2
     tG = th * G
     if tG < tau:
         return True
-    if tau <= 0.0 or th == 1.0:
+    if tau <= 0.0:
         return False
     thr = G + (math.sqrt(tG) - math.sqrt(tau)) * (
         math.sqrt(tG) + 1.0 / (lam2 * math.sqrt(tau))
@@ -425,6 +461,22 @@ def _classify_reference(lam1, lam2, th, G, P):
 
 
 class TestRegionSolve:
+    def test_searched_rows_equal_scalar_search(self):
+        # a row that the region rule cannot solve gets the scalar search's
+        # value, maxed with the array form at p1 = Gamma, bitwise
+        searched = 0
+        for lam1, lam2, theta, G, P in _edge_draws(np.random.default_rng(5)):
+            got = maximize_gamma2_batch(lam1, lam2, theta, G, P)
+            case2, p1 = _region_vec(lam1, lam2, theta, G, P)
+            at_gamma = _gamma2_at(np.full(lam2.shape, G), lam1, lam2, theta, G, P)
+            ch = channel_from_quality(lam1, lam1, 1.0, P)  # the search reads only P
+            for j in np.flatnonzero(case2 | ~np.isfinite(p1)).tolist():
+                prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G)
+                want = max(maximize_gamma2_over_p1(ch, prm)[1], at_gamma[j])
+                assert got[j] == want, (lam1, lam2[j], theta[j], G, P)
+                searched += 1
+        assert searched >= 10**4 // 4
+
     def test_region_solve_differential(self):
         """maximize_gamma2_batch, which solves most rows by region, is never
         more than 1e-9 relative below the row-wise golden section, and never
@@ -449,7 +501,7 @@ class TestRegionSolve:
             ch = channel_from_quality(lam1, lam1, 1.0, P)  # classify_case reads only P
             for j in range(len(lam2)):
                 l2, th = float(lam2[j]), float(theta[j])
-                prm = DerivedParams(lam1, l2, th, G, math.nan)
+                prm = DerivedParams(lam1, l2, th, G)
                 scalar = classify_case(ch, prm) is OptRegion.OPT_IN_P2
                 assert bool(case2[j]) == scalar == _classify_reference(lam1, l2, th, G, P)
 
@@ -517,7 +569,7 @@ class TestOptimizeP1:
         sol = optimize_p1(ch, params)
         assert sol.p1 == pytest.approx(ch.P, rel=1e-12)
         assert sol.gamma2_star == pytest.approx(0.0, abs=1e-12)
-        assert achieved_user1_sinr(sol, ch) == pytest.approx(
+        assert _realized_sinrs(sol, ch)[0] == pytest.approx(
             params.gamma1_star, rel=1e-6
         )
 
@@ -535,12 +587,12 @@ class TestOptimizeP1:
                 sol.p2, rel=1e-9, abs=1e-12
             )
             # user-1 constraint met exactly
-            assert achieved_user1_sinr(sol, ch) == pytest.approx(
+            assert _realized_sinrs(sol, ch)[0] == pytest.approx(
                 params.gamma1_star, rel=1e-6, abs=1e-9
             )
             # nominal SINR reproduced by the reconstructed beams
             if sol.gamma2_star > 0:
-                assert achieved_gamma2(sol, ch) == pytest.approx(
+                assert _realized_sinrs(sol, ch)[1] == pytest.approx(
                     sol.gamma2_star, rel=1e-6
                 )
             # constraint in amplitude form
@@ -603,7 +655,7 @@ class TestCase3ClosedForm:
             a1 = np.where(r <= 1.0 - th, 0.0, np.sqrt(th * r) - np.sqrt((1.0 - th) * (1.0 - r)))
             scan = np.maximum(P - p1, 0.0) * lam2 / (lam2 * p1 * a1 * a1 + 1.0)
             ch = channel_from_quality(lam1, lam1, 1.0, P)  # the branch reads only P from ch
-            prm = DerivedParams(lam1, lam2, th, G, math.nan)
+            prm = DerivedParams(lam1, lam2, th, G)
             _, best = maximize_branch_gamma2(ch, prm)
             assert best >= (1.0 - 1e-9) * scan.max(), (lam1, lam2, th, G, P)
 
