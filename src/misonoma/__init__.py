@@ -11,12 +11,10 @@ from .angle_analysis import (
     matched_filter_limit_check,
 )
 from .complex_linalg import (
-    OrthonormalBasis,
     angle_theta,
     as_cvec,
     gram_schmidt,
     project_complement,
-    project_onto,
 )
 from .oracle import OracleResult, brute_force_max, sample_instance
 from .scheduler import (
@@ -50,7 +48,6 @@ from .two_user_core import (
     InfeasibleTargetError,
     OptRegion,
     TwoUserChannel,
-    alpha1_star_fixed,
     case3_closed_form_p1,
     channel_from_quality,
     classify_case,

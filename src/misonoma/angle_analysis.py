@@ -18,8 +18,8 @@ import numpy as np
 
 from .golden import golden_section_max
 from .two_user_core import (
+    CaseTag,
     _coeffs,
-    alpha1_star_fixed,
     channel_from_quality,
     derive_params,
     optimize_p1,
@@ -56,8 +56,6 @@ class ThetaRegionResult:
     theta_opt_low: float
     theta_opt_high: float
     branch: ThetaBand
-    z1: float
-    z2: float
 
 
 @dataclass
@@ -128,8 +126,6 @@ def optimal_theta_region(
             theta_opt_low=theta0,
             theta_opt_high=upper,
             branch=ThetaBand.IN_BAND,
-            z1=z1,
-            z2=z2,
         )
 
     if Gamma <= (l2i - l1i) / (1.0 + l2i):
@@ -140,8 +136,6 @@ def optimal_theta_region(
             theta_opt_low=lo,
             theta_opt_high=hi,
             branch=ThetaBand.LOW_OUT_OF_BAND,
-            z1=z1,
-            z2=z2,
         )
 
     # stationary angle of the crossing branch between the plateau edge
@@ -160,8 +154,6 @@ def optimal_theta_region(
         theta_opt_low=th_star,
         theta_opt_high=th_star,
         branch=ThetaBand.HIGH_OUT_OF_BAND,
-        z1=z1,
-        z2=z2,
     )
 
 
@@ -169,24 +161,22 @@ def _solve_case_boundary(lambda1: float, lambda2: float, Gamma: float) -> float:
     """Angle where the case-2/3 boundary a = b + c^2/b is crossed.
 
     b + c^2/b decreases monotonically in theta from +inf, so bisection on
-    the squared comparison a^2 * (lambda2 alpha1^2 + 1) = lambda2/theta
-    locates the unique crossing.
+    select_case's own tag (case 3 above the crossing) locates the unique
+    crossing.
     """
-    a2_ = lambda1 / (1.0 + Gamma * lambda1)
 
-    def excess(theta: float) -> float:
-        a1 = alpha1_star_fixed(theta, Gamma)
-        return lambda2 / theta / (lambda2 * a1 * a1 + 1.0) - a2_
+    def case3(theta: float) -> bool:
+        return _fixed_case(theta, lambda1, lambda2, Gamma)[1] is CaseTag.CASE3
 
     lo, hi = 1e-15, 1.0
-    if excess(hi) >= 0.0:
+    if not case3(hi):
         return 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if excess(mid) >= 0.0:
-            lo = mid
-        else:
+        if case3(mid):
             hi = mid
+        else:
+            lo = mid
     return 0.5 * (lo + hi)
 
 

@@ -3,12 +3,11 @@
 Channel and beam vectors are short (a handful of antenna coefficients), so
 subspace projections are computed through an explicit orthonormal basis
 rather than pseudo-inverses: numerically stabler at tiny dimension and
-avoids matrix inversion entirely.
+avoids matrix inversion entirely.  A basis is a plain (r, n) complex
+matrix whose rows are orthonormal (gram_schmidt builds one; r may be 0).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,75 +28,44 @@ def as_cvec(x) -> np.ndarray:
     return v
 
 
-@dataclass
-class OrthonormalBasis:
-    """Mutually orthonormal vectors spanning a subspace of C^n.
-
-    gram_schmidt guarantees |<v_i, v_j>| <= BASIS_TOL for i != j and
-    | ||v_i|| - 1 | <= BASIS_TOL.
-    """
-
-    vectors: list[np.ndarray]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def max_defect(self) -> float:
-        """Largest deviation from orthonormality (0 for an empty basis)."""
-        worst = 0.0
-        for i, vi in enumerate(self.vectors):
-            worst = max(worst, abs(np.linalg.norm(vi) - 1.0))
-            for vj in self.vectors[i + 1 :]:
-                worst = max(worst, abs(np.vdot(vi, vj)))
-        return worst
-
-
-def gram_schmidt(columns) -> OrthonormalBasis:
-    """Orthonormal basis of span(columns) via modified Gram-Schmidt.
+def gram_schmidt(vectors) -> np.ndarray:
+    """Orthonormal basis of the span of vectors (an (m, n) matrix or a
+    sequence of m vectors of one length), as the rows of an (r, n) matrix,
+    by modified Gram-Schmidt.
 
     Vectors whose residual norm after deflation is <= DEFAULT_RANK_TOL
     times the largest input norm are dropped, so rank-deficient inputs
-    simply yield a smaller basis.  A second deflation pass keeps the result
-    orthonormal to ~1e-15 even for nearly parallel inputs.
+    simply yield fewer rows; an (0, n) input gives an (0, n) basis.  A
+    second deflation pass keeps the rows orthonormal to BASIS_TOL
+    (|<b_i, b_j>| and | ||b_i|| - 1 |) even for nearly parallel inputs.
     """
-    cols = [as_cvec(c) for c in columns]
-    if len({c.size for c in cols}) > 1:
-        raise ValueError("all vectors must have the same length")
-    max_norm = max((float(np.linalg.norm(c)) for c in cols), default=0.0)
-    drop = DEFAULT_RANK_TOL * max_norm
+    V = np.asarray(vectors, dtype=np.complex128)  # ragged: ValueError
+    if V.ndim != 2 or V.shape[1] < 1 or not np.all(np.isfinite(V)):
+        raise ValueError("expected a stack of finite 1-D vectors of one nonzero length")
+    drop = DEFAULT_RANK_TOL * max((float(np.linalg.norm(v)) for v in V), default=0.0)
 
     basis: list[np.ndarray] = []
-    for c in cols:
-        r = c.astype(np.complex128, copy=True)
+    for v in V:
+        r = v.copy()
         for _ in range(2):
             for b in basis:
                 r -= np.vdot(b, r) * b
         n = float(np.linalg.norm(r))
         if n > drop:
             basis.append(r / n)
-    return OrthonormalBasis(vectors=basis)
+    return np.array(basis, dtype=np.complex128).reshape(-1, V.shape[1])
 
 
-def _check_dims(v: np.ndarray, basis: OrthonormalBasis) -> None:
-    if basis.vectors and basis.vectors[0].size != v.size:
+def project_complement(v, basis: np.ndarray) -> np.ndarray:
+    """Component of v orthogonal to the span of the rows of an orthonormal
+    basis: v - sum_i <b_i, v> b_i."""
+    v = as_cvec(v)
+    if basis.shape[1] != v.size:
         raise ValueError("vector/basis dimension mismatch")
-
-
-def project_onto(v, basis: OrthonormalBasis) -> np.ndarray:
-    """Projection of v onto the span of the basis: sum_i <b_i, v> b_i."""
-    v = as_cvec(v)
-    _check_dims(v, basis)
     out = np.zeros_like(v)
-    for b in basis.vectors:
+    for b in basis:
         out += np.vdot(b, v) * b
-    return out
-
-
-def project_complement(v, basis: OrthonormalBasis) -> np.ndarray:
-    """Component of v orthogonal to the span of the basis: v - P v."""
-    v = as_cvec(v)
-    _check_dims(v, basis)
-    return v - project_onto(v, basis)
+    return v - out
 
 
 # A vector whose largest entry lies in [2^-101, 2^100) needs no scaling:

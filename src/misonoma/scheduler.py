@@ -47,7 +47,6 @@ from functools import cached_property
 import numpy as np
 
 from .complex_linalg import (
-    OrthonormalBasis,
     as_cvec,
     gram_schmidt,
     pow2_normalized,
@@ -284,7 +283,7 @@ def candidate_reductions(
     eps_sq: np.ndarray,
     h1: np.ndarray,
     sigma1_sq: float,
-    basis: OrthonormalBasis,
+    basis: np.ndarray,
     pending_w_hat: list[np.ndarray],
     P: float,
 ):
@@ -309,7 +308,7 @@ def candidate_reductions(
     agrees with optimize_p1's gamma2_star to round-off.
     """
     pending = [P * np.abs(_vdot_rows(w, H)) ** 2 for w in pending_w_hat]
-    g_eff = H - sum(np.outer(_vdot_rows(b, H), b) for b in basis.vectors)
+    g_eff = H - sum(np.outer(_vdot_rows(b, H), b) for b in basis)
     g_norm_sq = (g_eff.real**2 + g_eff.imag**2).sum(axis=1)
     lam1 = float(np.vdot(h1, h1).real) / sigma1_sq
     h1_n, g_n = pow2_normalized(h1), pow2_normalized(g_eff)
@@ -334,13 +333,14 @@ def candidate_reductions(
 class ZFSelection:
     """zf_select's result: the selected rows of one group, in selection
     order (ids, noise powers, channels), with each row's orthonormal basis
-    of the other selected channels and its channel projected off that basis
-    (its zero-forced channel, a row of H_zf)."""
+    of the other selected channels (gram_schmidt's (r, Nt) matrix with
+    orthonormal rows; r = 0 when one row is selected) and its channel
+    projected off that basis (its zero-forced channel, a row of H_zf)."""
 
     uid: np.ndarray
     eps_sq: np.ndarray
     H: np.ndarray
-    bases: list[OrthonormalBasis]
+    bases: list[np.ndarray]
     H_zf: np.ndarray
 
     def __len__(self) -> int:
@@ -351,9 +351,9 @@ def zf_select(group: UserGroup, cfg: SUSConfig) -> ZFSelection:
     """The SUS+ZF step shared by the scheduler and the baseline.
 
     Selects rows of one group with sus_select and returns them in selection
-    order with their bases and zero-forced channels.  It depends on the
-    group alone, so a trial computes it once for its strong rows and shares
-    it.
+    order with their bases (matrices with orthonormal rows) and zero-forced
+    channels.  It depends on the group alone, so a trial computes it once
+    for its strong rows and shares it.
     """
     if cfg.target_count > group.H.shape[1]:
         raise ValueError("target_count must not exceed Nt")
@@ -483,23 +483,21 @@ def schedule_targets(
     outs = []
     for target_plans in plans:
         out = SchedulerOutput(clusters=target_plans, Kc=Kc, P=P)
-        rates = dict(realized_rates(out, pool))
-        out.realized_rates = [
-            (rates[plan.strong_id], rates.get(plan.weak_id, 0.0)) for plan in target_plans
-        ]
+        out.realized_rates = realized_rates(out, pool)
         outs.append(out)
     return outs
 
 
-def realized_rates(output: SchedulerOutput, pool: UserPool) -> list[tuple[int, float]]:
-    """Per-user rates recomputed from actual channels and all final beams.
+def realized_rates(output: SchedulerOutput, pool: UserPool) -> list[tuple[float, float]]:
+    """Per-cluster (strong rate, weak rate), recomputed from actual channels
+    and all final beams; the weak rate of a single-user cluster is 0.0.
 
     Strong users: own signal over residual interference plus noise (the
     in-cluster weak-user signal is cancelled).  Weak users: the minimum of
     the strong user's decoding SINR for the weak message and the weak
     user's own SINR, both with the realized interference.
     """
-    out: list[tuple[int, float]] = []
+    out: list[tuple[float, float]] = []
     for k, plan in enumerate(output.clusters):
         others = [
             w
@@ -511,8 +509,9 @@ def realized_rates(output: SchedulerOutput, pool: UserPool) -> list[tuple[int, f
         ici1 = sum(abs(np.vdot(h1, w)) ** 2 for w in others)
         s1 = abs(np.vdot(h1, plan.w1_tilde)) ** 2
         sig1 = ici1 + eps1
-        out.append((plan.strong_id, log2_1p(s1 / sig1)))
+        rate1 = log2_1p(s1 / sig1)
         if plan.weak_id is None:
+            out.append((rate1, 0.0))
             continue
         h2, eps2 = pool.row(plan.weak_id)
         ici2 = sum(abs(np.vdot(h2, w)) ** 2 for w in others)
@@ -520,7 +519,7 @@ def realized_rates(output: SchedulerOutput, pool: UserPool) -> list[tuple[int, f
         s2 = abs(np.vdot(h2, plan.w2_tilde)) ** 2
         r2 = abs(np.vdot(h2, plan.w1_tilde)) ** 2
         sinr2 = min(r1 / (s1 + sig1), s2 / (r2 + ici2 + eps2))
-        out.append((plan.weak_id, log2_1p(sinr2)))
+        out.append((rate1, log2_1p(sinr2)))
     return out
 
 

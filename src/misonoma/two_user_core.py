@@ -131,33 +131,24 @@ class TwoUserChannel:
 
 
 def channel_from_quality(
-    lambda1: float,
-    lambda2: float,
-    theta: float,
-    P: float,
-    sigma1_sq: float = 1.0,
-    sigma2_sq: float = 1.0,
-    nt: int = 2,
+    lambda1: float, lambda2: float, theta: float, P: float
 ) -> TwoUserChannel:
-    """Canonical channel pair realizing given qualities and angle.
+    """Canonical two-antenna channel pair at unit noise powers realizing
+    given qualities and angle.
 
-    h1 points along e1 with ||h1||^2 = lambda1*sigma1_sq; h2 lies in the
-    e1/e2 plane at squared correlation theta to h1.
+    h1 points along e1 with ||h1||^2 = lambda1; h2 lies in the e1/e2 plane
+    at squared correlation theta to h1.
     """
     for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
         if not value > 0.0:
             raise ValueError(f"{name} must be positive, got {value}")
-    if nt < 2 and theta not in (0.0, 1.0):
-        raise ValueError("nt >= 2 required for intermediate angles")
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    h1 = np.zeros(nt, dtype=np.complex128)
-    h1[0] = math.sqrt(lambda1 * sigma1_sq)
-    h2 = np.zeros(nt, dtype=np.complex128)
-    h2[0] = math.sqrt(lambda2 * sigma2_sq * theta)
-    if nt >= 2:
-        h2[1] = math.sqrt(lambda2 * sigma2_sq * (1.0 - theta))
-    return TwoUserChannel(h1, h2, sigma1_sq, sigma2_sq, P)
+    h1 = np.array([math.sqrt(lambda1), 0.0], dtype=np.complex128)
+    h2 = np.array(
+        [math.sqrt(lambda2 * theta), math.sqrt(lambda2 * (1.0 - theta))], dtype=np.complex128
+    )
+    return TwoUserChannel(h1, h2, 1.0, 1.0, P)
 
 
 @dataclass
@@ -221,15 +212,6 @@ def _alpha1(theta: float, Gamma: float, p1: float) -> float:
     if ratio <= 1.0 - theta:
         return 0.0
     return math.sqrt(theta * ratio) - math.sqrt((1.0 - theta) * (1.0 - ratio))
-
-
-def alpha1_star_fixed(theta: float, Gamma: float) -> float:
-    """Minimal user-1 parallel weight meeting the target at unit power."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    if not 0.0 <= Gamma <= 1.0:
-        raise ValueError("Gamma must lie in [0, 1] for unit user-1 power")
-    return _alpha1(theta, Gamma, 1.0)
 
 
 def alpha1_beta1(p1: float, params: DerivedParams) -> tuple[float, float]:

@@ -9,6 +9,7 @@ from misonoma.angle_analysis import (
     ThetaBand,
     _beam_angle,
     _fixed_case,
+    _solve_case_boundary,
     gamma2_fixed_vs_theta,
     gamma2_simple_power,
     optimal_theta_region,
@@ -114,15 +115,14 @@ class TestOptimalThetaRegion:
             th_best = float(grid[int(np.argmax(vals))])
             assert res.theta_opt_low - step <= th_best <= res.theta_opt_high + step
 
-    def test_stationary_angle_matches_scan(self):
-        """Above the band the golden-section angle is never below a
-        4096-angle scan of the fixed-power SINR by more than 1e-9 relative,
-        on 500 draws; edges: lambda2/lambda1 at 1 and down to 1e-9, Gamma
-        at 1 and within 1e-7 of it."""
+    @staticmethod
+    def _high_out_of_band_draws(n):
+        """n draws (lam1, lam2, Gamma, region) above the band; edges:
+        lambda2/lambda1 at 1 and down to 1e-9, Gamma at 1 and within 1e-7
+        of it."""
         rng = np.random.default_rng(37)
-        grid = np.linspace(0.0, 1.0, 4096)
         checked = 0
-        while checked < 500:
+        while checked < n:
             lam1 = float(np.exp(rng.uniform(0.0, math.log(1e3))))
             ratio = rng.choice([1e-9, 1.0, np.exp(rng.uniform(math.log(1e-9), 0.0))], p=[0.1, 0.1, 0.8])
             lam2 = lam1 * float(ratio)
@@ -130,12 +130,32 @@ class TestOptimalThetaRegion:
             res = optimal_theta_region(lam1, lam2, G)
             if res.branch is not ThetaBand.HIGH_OUT_OF_BAND:
                 continue
+            yield lam1, lam2, G, res
+            checked += 1
+
+    def test_stationary_angle_matches_scan(self):
+        """Above the band the golden-section angle is never below a
+        4096-angle scan of the fixed-power SINR by more than 1e-9 relative,
+        on 500 draws."""
+        grid = np.linspace(0.0, 1.0, 4096)
+        for lam1, lam2, G, res in self._high_out_of_band_draws(500):
             # the SINR at p1 = 1 of a design with P = 2 is the fixed-power SINR
             with np.errstate(divide="ignore", invalid="ignore"):
                 scan = _gamma2_vec(lam1, lam2, grid, G, 2.0)(np.ones_like(grid))
             best = gamma2_fixed_vs_theta(res.theta_opt_low, lam1, lam2, G)
             assert best >= (1.0 - 1e-9) * scan.max(), (lam1, lam2, G)
-            checked += 1
+
+    def test_case_boundary_is_case_tag_flip(self):
+        """The case-2/3 boundary that bounds the stationary-angle search
+        lies where select_case's tag turns to case 3, to 1e-12 relative, on
+        the draws of test_stationary_angle_matches_scan."""
+        for lam1, lam2, G, _ in self._high_out_of_band_draws(500):
+            theta_a = _solve_case_boundary(lam1, lam2, G)
+            below = _fixed_case(theta_a * (1.0 - 1e-12), lam1, lam2, G)[1]
+            assert below is not CaseTag.CASE3, (lam1, lam2, G)
+            if theta_a < 1.0:
+                above = _fixed_case(min(theta_a * (1.0 + 1e-12), 1.0), lam1, lam2, G)[1]
+                assert above is CaseTag.CASE3, (lam1, lam2, G)
 
     def test_region_attains_grid_max_in_band(self):
         lam1, lam2, G = 12.0, 8.0, 0.3

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from misonoma.complex_linalg import (
     BASIS_TOL,
-    OrthonormalBasis,
     angle_theta,
     as_cvec,
     gram_schmidt,
     project_complement,
-    project_onto,
 )
 
 
@@ -25,19 +23,36 @@ complex_vecs = st.integers(0, 2**32 - 1).map(
 )
 
 
+def _project_onto(v, basis):
+    """Projection of v onto the span of the basis rows."""
+    return v - project_complement(v, basis)
+
+
+def _max_defect(basis):
+    """Largest deviation of the basis rows from orthonormality (0 for an
+    empty basis)."""
+    worst = 0.0
+    for i, vi in enumerate(basis):
+        worst = max(worst, abs(np.linalg.norm(vi) - 1.0))
+        for vj in basis[i + 1 :]:
+            worst = max(worst, abs(np.vdot(vi, vj)))
+    return worst
+
+
 def test_gram_schmidt_orthonormal_input_unchanged():
     e1 = np.array([1.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0], dtype=complex)
-    basis = gram_schmidt([e1, e2])
-    assert len(basis) == 2
-    np.testing.assert_allclose(basis.vectors[0], e1, atol=1e-15)
-    np.testing.assert_allclose(basis.vectors[1], e2, atol=1e-15)
+    for stack in ([e1, e2], np.array([e1, e2])):
+        basis = gram_schmidt(stack)
+        assert basis.shape == (2, 2) and basis.dtype == np.complex128
+        np.testing.assert_allclose(basis[0], e1, atol=1e-15)
+        np.testing.assert_allclose(basis[1], e2, atol=1e-15)
 
 
 def test_gram_schmidt_rank_deficiency_deflated():
     basis = gram_schmidt([[1.0, 0.0], [2.0, 0.0]])
-    assert len(basis) == 1
-    np.testing.assert_allclose(basis.vectors[0], [1.0, 0.0], atol=1e-15)
+    assert basis.shape == (1, 2)
+    np.testing.assert_allclose(basis[0], [1.0, 0.0], atol=1e-15)
 
 
 def test_gram_schmidt_spans_input():
@@ -46,12 +61,20 @@ def test_gram_schmidt_spans_input():
     basis = gram_schmidt([v1, v2])
     assert len(basis) == 2
     for v in (v1, v2):
-        np.testing.assert_allclose(project_onto(v, basis), v, atol=1e-12)
+        np.testing.assert_allclose(_project_onto(v, basis), v, atol=1e-12)
 
 
 def test_gram_schmidt_dimension_mismatch():
-    with pytest.raises(ValueError):
-        gram_schmidt([[1.0, 0.0], [1.0, 0.0, 0.0]])
+    for stack in (
+        [[1.0, 0.0], [1.0, 0.0, 0.0]],  # ragged
+        [[1.0, np.nan], [0.0, 1.0]],
+        [[1.0, 0.0], [complex(0.0, np.inf), 1.0]],
+        np.zeros((2, 0)),  # zero-length vectors
+        [1.0, 0.0],  # one vector, not a stack
+        np.ones((1, 2, 2)),
+    ):
+        with pytest.raises(ValueError):
+            gram_schmidt(stack)
 
 
 def test_gram_schmidt_orthonormality_random():
@@ -59,15 +82,15 @@ def test_gram_schmidt_orthonormality_random():
     for _ in range(20):
         cols = [_random_cvec(rng, 5) for _ in range(rng.integers(1, 6))]
         basis = gram_schmidt(cols)
-        assert basis.max_defect() <= BASIS_TOL
+        assert _max_defect(basis) <= BASIS_TOL
 
 
 def test_project_onto_in_span_and_orthogonal():
     basis = gram_schmidt([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     v_in = np.array([2.0 + 1j, -3.0, 0.0])
-    np.testing.assert_allclose(project_onto(v_in, basis), v_in, atol=1e-14)
+    np.testing.assert_allclose(_project_onto(v_in, basis), v_in, atol=1e-14)
     v_perp = np.array([0.0, 0.0, 1.0 - 2j])
-    np.testing.assert_allclose(project_onto(v_perp, basis), 0.0, atol=1e-14)
+    np.testing.assert_allclose(_project_onto(v_perp, basis), 0.0, atol=1e-14)
     np.testing.assert_allclose(project_complement(v_in, basis), 0.0, atol=1e-14)
     np.testing.assert_allclose(project_complement(v_perp, basis), v_perp, atol=1e-14)
 
@@ -75,18 +98,18 @@ def test_project_onto_in_span_and_orthogonal():
 def test_projection_dimension_mismatch():
     basis = gram_schmidt([[1.0, 0.0]])
     with pytest.raises(ValueError):
-        project_onto([1.0, 0.0, 0.0], basis)
+        project_complement([1.0, 0.0, 0.0], basis)
 
 
 @settings(max_examples=50, deadline=None)
 @given(complex_vecs, complex_vecs, complex_vecs)
 def test_projection_idempotent_and_pythagoras(a, b, v):
     basis = gram_schmidt([a, b])
-    p = project_onto(v, basis)
-    np.testing.assert_allclose(project_onto(p, basis), p, atol=1e-12)
+    p = _project_onto(v, basis)
+    np.testing.assert_allclose(_project_onto(p, basis), p, atol=1e-12)
     q = project_complement(v, basis)
     # complement orthogonal to the span
-    for bv in basis.vectors:
+    for bv in basis:
         assert abs(np.vdot(bv, q)) <= 1e-12 * np.linalg.norm(v)
     assert abs(
         np.linalg.norm(v) ** 2 - np.linalg.norm(p) ** 2 - np.linalg.norm(q) ** 2
@@ -180,7 +203,9 @@ def test_as_cvec_rejects_bad_inputs():
 
 
 def test_empty_basis_identity_complement():
-    basis = OrthonormalBasis(vectors=[])
-    v = np.array([1.0 + 1j, 2.0])
-    np.testing.assert_allclose(project_complement(v, basis), v, atol=0)
-    np.testing.assert_allclose(project_onto(v, basis), 0.0, atol=0)
+    for nt in (2, 4):
+        basis = gram_schmidt(np.zeros((0, nt)))
+        assert basis.shape == (0, nt) and basis.dtype == np.complex128
+        v = np.arange(1, nt + 1) * (1.0 + 1j)
+        np.testing.assert_allclose(project_complement(v, basis), v, atol=0)
+        np.testing.assert_allclose(_project_onto(v, basis), 0.0, atol=0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misonoma.complex_linalg import OrthonormalBasis, as_cvec, gram_schmidt, project_complement
+from misonoma.complex_linalg import as_cvec, gram_schmidt, project_complement
 from misonoma.scheduler import (
     ClusterPlan,
     SchedulerOutput,
@@ -95,7 +95,7 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
     bases, h_eff = [], []
     for k in range(Kc):
         others = [sel_users[j].h for j in range(Kc) if j != k]
-        bases.append(gram_schmidt(others) if others else OrthonormalBasis(vectors=[]))
+        bases.append(gram_schmidt(others) if others else np.empty((0, Nt), complex))
         h_eff.append(project_complement(sel_users[k].h, bases[k]))
     w_hat = [he / np.linalg.norm(he) for he in h_eff]
     remaining = sorted(pool.weak, key=lambda u: u.uid)
@@ -439,7 +439,7 @@ class TestSchedule:
             pend.append(p.h1_eff / np.linalg.norm(p.h1_eff))
         for u in pool.weak:
             sig = estimate_ici(u.h, u.eps_sq, [], [], pend, out.P)
-            g_eff = project_complement(u.h, basis) if basis else u.h
+            g_eff = project_complement(u.h, basis) if basis is not None else u.h
             lam1 = float(np.vdot(plan.h1_eff, plan.h1_eff).real) / plan.sigma1_sq
             lam2 = float(np.vdot(g_eff, g_eff).real) / sig
             if lam2 > lam1:
@@ -531,10 +531,7 @@ class TestSchedule:
                 assert got.w2_tilde.tobytes() == want.w2_tilde.tobytes()
                 assert got.sigma_hat_u_sq == want.sigma_hat_u_sq
                 seen |= {"single_user"} if want.single_user else set()
-            ref_rates = dict(realized_rates(ref, pool))
-            assert out.realized_rates == [
-                (ref_rates[p.strong_id], ref_rates.get(p.weak_id, 0.0)) for p in ref.clusters
-            ]
+            assert out.realized_rates == realized_rates(ref, pool)
         assert covers <= seen
 
     @pytest.mark.parametrize(
@@ -694,11 +691,12 @@ class TestSchedule:
         rng = np.random.default_rng(84)
         pool = _pool(rng, 2, 6, 6)
         out = schedule(pool, zf_select(pool.strong_rows, SUSConfig(2, 0.6)), 10.0, 0.5)
-        rates = dict(realized_rates(out, pool))
-        for k, plan in enumerate(out.clusters):
-            assert rates[plan.strong_id] == pytest.approx(out.realized_rates[k][0])
-            if plan.weak_id is not None:
-                assert rates[plan.weak_id] == pytest.approx(out.realized_rates[k][1])
+        rates = realized_rates(out, pool)
+        assert len(rates) == len(out.clusters)
+        for (r1, r2), plan, stored in zip(rates, out.clusters, out.realized_rates):
+            assert (r1, r2) == pytest.approx(stored)
+            if plan.weak_id is None:
+                assert r2 == 0.0
 
 
 @st.composite

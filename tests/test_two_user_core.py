@@ -21,7 +21,6 @@ from misonoma.two_user_core import (
     _gamma2_vec,
     _region_vec,
     _tau,
-    alpha1_star_fixed,
     case3_closed_form_p1,
     channel_from_quality,
     classify_case,
@@ -163,21 +162,15 @@ class TestDerivedParams:
 
 class TestAlpha1:
     def test_fixed_zero_branch(self):
-        assert alpha1_star_fixed(0.5, 0.3) == 0.0
+        assert _alpha1(0.5, 0.3, 1.0) == 0.0
 
     def test_fixed_corner(self):
-        assert alpha1_star_fixed(1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert _alpha1(1.0, 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_fixed_generic_against_grid(self):
-        val = alpha1_star_fixed(0.8, 0.5)
+        val = _alpha1(0.8, 0.5, 1.0)
         assert val == pytest.approx(0.316227766016838, rel=1e-12)
         assert val == pytest.approx(_min_alpha1_by_grid(0.8, 0.5, 1.0), abs=1e-3)
-
-    def test_fixed_range_checks(self):
-        with pytest.raises(ValueError):
-            alpha1_star_fixed(1.5, 0.5)
-        with pytest.raises(ValueError):
-            alpha1_star_fixed(0.5, 1.5)
 
     def test_p1_at_minimum_power_is_sqrt_theta(self):
         ch = fig2_channel()
@@ -717,7 +710,7 @@ class TestFixedPower:
             ch = channel_from_quality(lam1, lam2, th, 2.0)
             params = derive_params(ch, G * ch.lambda1)
             sol = fixed_power_design(ch, params)
-            a1 = alpha1_star_fixed(params.theta, min(params.Gamma, 1.0))
+            a1 = _alpha1(params.theta, min(params.Gamma, 1.0), 1.0)
             den = params.lambda2 * a1 * a1 + 1.0
             a = math.sqrt(params.lambda1 / (1.0 + params.Gamma * params.lambda1))
             b = math.sqrt(params.lambda2 * params.theta / den)
