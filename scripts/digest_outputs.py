@@ -4,9 +4,10 @@ checkouts.
 
 Runs every case of tests/test_reference_outputs.py (CASES) plus a fixed
 pareto-boundary, angle-sweep and oracle-check, and two longer runs on the
-fallback configuration, through cli.main into a temporary directory, then prints one line per file written: its sha256 and
-its name.  Run it on both checkouts and compare the listings; the package
-imported is the one on PYTHONPATH, the cases are this checkout's:
+fallback configuration, through cli.main into a temporary directory, then
+prints one line per file written: its sha256 and its name.  Run it on both
+checkouts and compare the listings; the package imported is the one on
+PYTHONPATH, the cases are this checkout's:
 
     PYTHONPATH=src python3 scripts/digest_outputs.py
     PYTHONPATH=../other/src python3 scripts/digest_outputs.py

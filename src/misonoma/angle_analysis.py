@@ -19,11 +19,11 @@ import numpy as np
 from .golden import golden_section_max
 from .two_user_core import (
     CaseTag,
-    _coeffs,
+    _fixed_case,
     channel_from_quality,
+    check_target,
     derive_params,
     optimize_p1,
-    select_case,
 )
 
 # branch-selection comparisons; the branch formulas are continuous at the
@@ -74,15 +74,6 @@ def gamma2_fixed_vs_theta(
     return _fixed_case(theta, lambda1, lambda2, Gamma)[0]
 
 
-def _fixed_case(theta: float, lambda1: float, lambda2: float, Gamma: float):
-    """select_case at unit powers p1 = p2 = 1."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    if not 0.0 <= Gamma <= 1.0:
-        raise ValueError("Gamma must lie in [0, 1] at unit user-1 power")
-    return select_case(*_coeffs(lambda1, lambda2, theta, Gamma, 1.0, 1.0), theta)
-
-
 def optimal_theta_region(
     lambda1: float, lambda2: float, Gamma: float
 ) -> ThetaRegionResult:
@@ -96,8 +87,7 @@ def optimal_theta_region(
     multi-peaked curve turned up in 3,000 such draws scanned at 4096
     angles each).
     """
-    if not 0.0 <= Gamma <= 1.0:
-        raise ValueError("Gamma must lie in [0, 1] at unit user-1 power")
+    Gamma = check_target(Gamma, 1.0)
     if lambda1 < lambda2:
         raise ValueError("requires lambda1 >= lambda2")
     l1i, l2i = 1.0 / lambda1, 1.0 / lambda2
@@ -162,7 +152,8 @@ def _solve_case_boundary(lambda1: float, lambda2: float, Gamma: float) -> float:
 
     b + c^2/b decreases monotonically in theta from +inf, so bisection on
     select_case's own tag (case 3 above the crossing) locates the unique
-    crossing.
+    crossing.  It stops once the midpoint rounds to an end: from then on
+    neither end moves again.
     """
 
     def case3(theta: float) -> bool:
@@ -171,13 +162,14 @@ def _solve_case_boundary(lambda1: float, lambda2: float, Gamma: float) -> float:
     lo, hi = 1e-15, 1.0
     if not case3(hi):
         return 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while mid != lo and mid != hi:
         if case3(mid):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def gamma2_simple_power(
@@ -195,10 +187,7 @@ def gamma2_simple_power(
     lambda2/lambda1, the leading factor (P - Gamma)/(Gamma (1 + y)) tends
     to P*lambda1, and the weak user's own branch to P*lambda2.
     """
-    if Gamma < 0.0:
-        raise ValueError("Gamma must be nonnegative (minimum power is Gamma)")
-    if Gamma > P * (1.0 + 1e-12):
-        raise ValueError("Gamma must not exceed P")
+    Gamma = check_target(Gamma, P)
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     if Gamma == 0.0:

@@ -30,6 +30,7 @@ from .simulation import (
 from .two_user_core import (
     InfeasibleTargetError,
     channel_from_quality,
+    check_target,
     derive_params,
     optimize_p1,
     pareto_boundary,
@@ -124,11 +125,7 @@ def cmd_gamma_sweep(args) -> int:
     """
     cfg = _sim_config(args)
     gammas = np.linspace(args.gamma_min, args.gamma_max, args.gamma_points)
-    if args.gamma_max > cfg.p_total / cfg.nt * (1.0 + 1e-12):
-        raise InfeasibleTargetError(
-            f"gamma-max {args.gamma_max:.6g} can exceed the per-cluster power "
-            f"P_T/Nt = {cfg.p_total / cfg.nt:.6g}"
-        )
+    check_target(args.gamma_max, cfg.p_total / cfg.nt)  # P_T/Kc is at least P_T/Nt
     grid = [float(g) for g in gammas]
     per_trial = [run_trial_sweep(cfg, t, grid) for t in range(cfg.trials)]
     rows = []

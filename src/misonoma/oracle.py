@@ -26,9 +26,9 @@ import numpy as np
 from .golden import golden_section_max, vector_golden_section_max
 from .two_user_core import (
     DerivedParams,
-    InfeasibleTargetError,
     TwoUserChannel,
     channel_from_quality,
+    check_target,
     derive_params,
 )
 
@@ -98,9 +98,8 @@ def brute_force_max(
     """
     if n_p1 < 64 or n_alpha2 < 64:
         raise ValueError("grid sizes must be at least 64")
-    G, P, th = params.Gamma, ch.P, params.theta
-    if G > P * (1.0 + 1e-12):
-        raise InfeasibleTargetError("Gamma exceeds P")
+    P, th = ch.P, params.theta
+    G = check_target(params.Gamma, P)
     k1sq = float(np.vdot(ch.h1, ch.h1).real)
     k2sq = float(np.vdot(ch.h2, ch.h2).real)
     c1 = math.sqrt(k1sq / (ch.sigma1_sq * (1.0 + params.gamma1_star)))

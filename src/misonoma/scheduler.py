@@ -54,8 +54,8 @@ from .complex_linalg import (
 )
 from .two_user_core import (
     BeamSolution,
-    InfeasibleTargetError,
     TwoUserChannel,
+    check_target,
     derive_params,
     gamma2_bounds,
     log2_1p,
@@ -184,7 +184,7 @@ class SUSConfig:
 
 @dataclass
 class ClusterPlan:
-    """One scheduled cluster: its pair, projected channels, and final beams.
+    """One scheduled cluster: its pair, zero-forced h1_eff and final beams.
 
     single_user marks clusters that fell back to serving only the strong
     user with a matched-filter beam (no eligible weak candidate left).
@@ -193,7 +193,6 @@ class ClusterPlan:
     strong_id: int
     weak_id: int | None
     h1_eff: np.ndarray
-    h2_eff: np.ndarray | None
     sigma1_sq: float
     sigma_hat_u_sq: float | None
     solution: BeamSolution | None
@@ -408,10 +407,7 @@ def schedule_targets(
         raise ValueError(f"weak pool ({len(uid)}) smaller than Kc ({Kc})")
     P = P_T / Kc
     for Gamma in gammas:
-        if Gamma < 0 or Gamma > P * (1.0 + 1e-12):
-            raise InfeasibleTargetError(
-                f"Gamma={Gamma:.6g} outside [0, P_T/Kc={P:.6g}]"
-            )
+        check_target(Gamma, P)
     if not gammas:
         return []
     w_hat = [he / np.linalg.norm(he) for he in h_eff]
@@ -430,7 +426,8 @@ def schedule_targets(
         counts = [len(lam2) for lam2 in lam2s]
         ends = np.cumsum(counts)
         lam2, theta = np.concatenate(lam2s), np.concatenate(thetas)
-        G = np.repeat([min(g * lam1 / lam1, P) for g in gammas], counts)
+        # the normalized target that derive_params gives each target's winner
+        G = np.repeat([check_target(g * lam1 / lam1, P) for g in gammas], counts)
         # prune: a row whose upper bound lies below its target's best
         # endpoint value cannot win, and a target left with one row has won
         lower, upper = gamma2_bounds(lam1, lam2, theta, G, P)
@@ -451,7 +448,7 @@ def schedule_targets(
             scores[ok] = part
             j = int(np.argmax(scores))  # the first maximum: ties go to the lowest uid
             if scores[j] == -np.inf:  # every candidate would invert the ordering
-                weak_id = g_eff = sig_hat = sol = None
+                weak_id = sig_hat = sol = None
                 w1 = math.sqrt(P) * w_hat[k]
                 w2 = np.zeros_like(w1)
             else:
@@ -468,7 +465,6 @@ def schedule_targets(
                     strong_id=int(strong.uid[k]),
                     weak_id=weak_id,
                     h1_eff=h_eff[k],
-                    h2_eff=g_eff,
                     sigma1_sq=eps1,
                     sigma_hat_u_sq=sig_hat,
                     solution=sol,

@@ -24,7 +24,7 @@ from .scheduler import (
     schedule_targets,
     zf_select,
 )
-from .two_user_core import InfeasibleTargetError
+from .two_user_core import check_target
 
 
 @dataclass
@@ -169,8 +169,7 @@ def run_trial_sweep(cfg: SimConfig, trial_id: int, gammas: list[float]) -> list[
     if not gammas:
         raise ValueError("gammas must hold at least one target")
     for g in gammas:
-        if g < 0 or g > cfg.p_total * (1.0 + 1e-12):
-            raise InfeasibleTargetError(f"Gamma={g:.6g} outside [0, P_T={cfg.p_total:.6g}]")
+        check_target(g, cfg.p_total)
     rec, _, pool = run_trial(cfg, trial_id, gamma=gammas[0])
     strong = zf_select(pool.strong_rows, SUSConfig(target_count=cfg.nt, delta=cfg.delta))
     baseline = astuple(rec)[-3:]  # the last three fields do not depend on the target

@@ -24,16 +24,20 @@ edge-weighted draws scanned at 4096 points each.  Where case 3 is
 predicted, the optimum p1 is also known in closed form
 (case3_closed_form_p1), and p1 = Gamma when the channels are aligned.
 
-Each formula is written once: _alpha1 is the minimal user-1 weight, _coeffs
-the inner coefficients at powers (p1, p2), select_case the three-case rule,
-and _max_over_p1 the one p1 search; _gamma2_vec is the array form of the
-rule, and _region_vec the array form of the region prediction and the
-case-3 p1, which classify_case and case3_closed_form_p1 evaluate at one
-instance.  maximize_gamma2_batch scores many instances by region, and runs
-_max_over_p1 on the scalar rule, one row at a time, only where the closed
-form does not apply; gamma2_bounds brackets its result, with a closed-form
-cap over all of [Gamma, P], so that the scheduler can drop candidates
-before they are scored.
+Each formula is written once: check_target is the target interval
+0 <= Gamma <= P, _alpha1 the minimal user-1 weight, _coeffs the inner
+coefficients at powers (p1, p2), select_case the three-case rule,
+_fixed_case that rule at fixed unit powers, and _max_over_p1 the one p1
+search; _gamma2_vec is the array form of the rule, and _region_vec the
+array form of the region prediction and the case-3 p1, which classify_case
+and case3_closed_form_p1 evaluate at one instance.  The p1 search and the
+region rule read nothing of the channel but its power, so they take
+(params, P); only the functions that build beams take the channel.
+maximize_gamma2_batch scores many instances by region, and runs
+maximize_gamma2_over_p1 one row at a time only where the closed form does
+not apply; gamma2_bounds brackets its result, with a closed-form cap over
+all of [Gamma, P], so that the scheduler can drop candidates before they
+are scored.
 """
 
 from __future__ import annotations
@@ -170,23 +174,25 @@ class DerivedParams:
         return self.Gamma * self.lambda1
 
 
-def derive_params(ch: TwoUserChannel, gamma1_star: float) -> DerivedParams:
-    """Scalar parameters for a channel and a user-1 SINR target.
+def check_target(Gamma: float, P: float) -> float:
+    """The normalized user-1 target Gamma = gamma1*/lambda1, checked against
+    its power bound P and clamped to it: min(Gamma, P).
 
-    Raises InfeasibleTargetError when the normalized target Gamma exceeds P
-    (even full power on a matched filter cannot reach the target).
+    Raises InfeasibleTargetError unless 0 <= Gamma <= P, with a relative
+    slack of 1e-12 above P for round-off in gamma1*/lambda1; NaN fails too.
+    Above P even full power on a matched filter cannot reach the target.
     """
-    if gamma1_star < 0:
-        raise ValueError("gamma1_star must be nonnegative")
+    if not 0.0 <= Gamma <= P * (1.0 + 1e-12):
+        raise InfeasibleTargetError(f"Gamma={Gamma:.6g} outside [0, {P:.6g}]")
+    return min(Gamma, P)
+
+
+def derive_params(ch: TwoUserChannel, gamma1_star: float) -> DerivedParams:
+    """Scalar parameters for a channel and a user-1 SINR target, with the
+    normalized target checked against the cluster power (check_target)."""
     lam1 = ch.lambda1
-    lam2 = ch.lambda2
-    Gamma = gamma1_star / lam1
-    if Gamma > ch.P * (1.0 + 1e-12):
-        raise InfeasibleTargetError(
-            f"normalized target Gamma={Gamma:.6g} exceeds cluster power P={ch.P:.6g}"
-        )
-    Gamma = min(Gamma, ch.P)
-    return DerivedParams(lam1, lam2, ch.theta, Gamma)
+    Gamma = check_target(gamma1_star / lam1, ch.P)
+    return DerivedParams(lam1, ch.lambda2, ch.theta, Gamma)
 
 
 def _tau(lam1, lam2, th, G):
@@ -274,7 +280,7 @@ def select_case(
     return b * b + c * c, CaseTag.CASE3, math.sqrt(theta)
 
 
-def classify_case(ch: TwoUserChannel, params: DerivedParams) -> OptRegion:
+def classify_case(params: DerivedParams, P: float) -> OptRegion:
     """Predict which inner-problem case holds at the optimal p1: the region
     rule (_region_vec) at one instance.
 
@@ -285,16 +291,14 @@ def classify_case(ch: TwoUserChannel, params: DerivedParams) -> OptRegion:
     (case 3); theta = 1 is case 3, with the optimum at p1 = Gamma (pure
     power control), whatever tau rounds to.
     """
-    case2, _ = _region_vec(params.lambda1, params.lambda2, params.theta, params.Gamma, ch.P)
+    case2, _ = _region_vec(params.lambda1, params.lambda2, params.theta, params.Gamma, P)
     return OptRegion.OPT_IN_P2 if case2 else OptRegion.OPT_IN_P3
 
 
-def gamma2_of_p1(
-    p1: float, ch: TwoUserChannel, params: DerivedParams
-) -> tuple[float, CaseTag]:
+def gamma2_of_p1(p1: float, params: DerivedParams, P: float) -> tuple[float, CaseTag]:
     """Best achievable user-2 SINR at user-1 power p1, with its case tag."""
     th = params.theta
-    abc = _coeffs(params.lambda1, params.lambda2, th, params.Gamma, p1, ch.P - p1)
+    abc = _coeffs(params.lambda1, params.lambda2, th, params.Gamma, p1, P - p1)
     gamma2, tag, _ = select_case(*abc, th)
     return gamma2, tag
 
@@ -421,15 +425,13 @@ def _max_over_p1(f, G: float, P: float) -> tuple[float, float]:
     return (G, v_end) if v_end > v_opt else (p1_opt, v_opt)
 
 
-def maximize_gamma2_over_p1(
-    ch: TwoUserChannel, params: DerivedParams
-) -> tuple[float, float]:
+def maximize_gamma2_over_p1(params: DerivedParams, P: float) -> tuple[float, float]:
     """argmax/max of the user-2 SINR over p1 in [Gamma, P], by _max_over_p1.
 
     The searched curve is the pointwise-optimal SINR, so the returned value
     is always achievable.
     """
-    return _max_over_p1(lambda p: gamma2_of_p1(p, ch, params)[0], params.Gamma, ch.P)
+    return _max_over_p1(lambda p: gamma2_of_p1(p, params, P)[0], params.Gamma, P)
 
 
 def maximize_gamma2_batch(
@@ -444,11 +446,10 @@ def maximize_gamma2_batch(
     (every row with theta = 1 is) takes the SINR at its case-3 optimum p1
     (p1 = Gamma at theta = 1).  The rows predicted case 2 (every row with
     theta = 0 is) and the rows whose closed form is not finite run
-    maximize_gamma2_over_p1's search, _max_over_p1 on the scalar rule, one
-    row at a time.  Either value is taken as the max with the array form's
-    value at p1 = Gamma, so gamma2_bounds' lower bound holds.  Where the
-    search stops P1_XTOL short of the optimum, the closed form can lie
-    above it.
+    maximize_gamma2_over_p1, one row at a time.  Either value is taken as
+    the max with the array form's value at p1 = Gamma, so gamma2_bounds'
+    lower bound holds.  Where the search stops P1_XTOL short of the
+    optimum, the closed form can lie above it.
     """
     ends = np.zeros(lam2.shape) + Gamma
     case2, p1 = _region_vec(lam1, lam2, theta, ends, P)
@@ -458,9 +459,8 @@ def maximize_gamma2_batch(
         best = np.maximum(f(np.where(search, ends, p1)), f(ends))
     lam1, P = float(lam1), float(P)
     for i in np.flatnonzero(search).tolist():
-        l2, th, G = float(lam2[i]), float(theta[i]), float(ends[i])
-        _, v = _max_over_p1(lambda p: select_case(*_coeffs(lam1, l2, th, G, p, P - p), th)[0], G, P)
-        best[i] = max(v, best[i])
+        prm = DerivedParams(lam1, float(lam2[i]), float(theta[i]), float(ends[i]))
+        best[i] = max(maximize_gamma2_over_p1(prm, P)[1], best[i])
     return best
 
 
@@ -567,14 +567,14 @@ def optimize_p1(ch: TwoUserChannel, params: DerivedParams) -> BeamSolution:
     case tag; the numeric search runs on the pointwise-optimal SINR curve,
     which coincides with the predicted case's branch at the optimum.
     """
-    p1_opt, _ = maximize_gamma2_over_p1(ch, params)
+    p1_opt, _ = maximize_gamma2_over_p1(params, ch.P)
     th = params.theta
     abc = _coeffs(params.lambda1, params.lambda2, th, params.Gamma, p1_opt, ch.P - p1_opt)
     gamma2, tag, alpha2 = select_case(*abc, th)
     return _build_solution(ch, params, p1_opt, ch.P - p1_opt, gamma2, tag, alpha2)
 
 
-def case3_closed_form_p1(ch: TwoUserChannel, params: DerivedParams) -> float:
+def case3_closed_form_p1(params: DerivedParams, P: float) -> float:
     """Stationary point of the case-3 SINR branch, in closed form: the
     region rule's p1 (_region_vec) at one instance.
 
@@ -592,18 +592,18 @@ def case3_closed_form_p1(ch: TwoUserChannel, params: DerivedParams) -> float:
     """
     if params.theta in (0.0, 1.0):
         raise ValueError("closed form undefined for theta in {0, 1}; use numeric search")
-    _, p1 = _region_vec(params.lambda1, params.lambda2, params.theta, params.Gamma, ch.P)
+    _, p1 = _region_vec(params.lambda1, params.lambda2, params.theta, params.Gamma, P)
     return float(p1)
 
 
-def maximize_branch_gamma2(ch: TwoUserChannel, params: DerivedParams) -> tuple[float, float]:
+def maximize_branch_gamma2(params: DerivedParams, P: float) -> tuple[float, float]:
     """argmax/max over p1 in [Gamma, P] of the case-3 branch b^2 + c^2 (user
     2's own-SINR peak), by the same search as maximize_gamma2_over_p1.
 
     Used to cross-check case3_closed_form_p1; the branch formula is
     evaluated everywhere regardless of pointwise case membership.
     """
-    lam1, lam2, th, G, P = params.lambda1, params.lambda2, params.theta, params.Gamma, ch.P
+    lam1, lam2, th, G = params.lambda1, params.lambda2, params.theta, params.Gamma
 
     def branch3(p1: float) -> float:
         _, b, c = _coeffs(lam1, lam2, th, G, p1, P - p1)
@@ -612,20 +612,23 @@ def maximize_branch_gamma2(ch: TwoUserChannel, params: DerivedParams) -> tuple[f
     return _max_over_p1(branch3, G, P)
 
 
-def fixed_power_design(ch: TwoUserChannel, params: DerivedParams) -> BeamSolution:
-    """Beam-only design at fixed unit powers p1 = p2 = 1.
+def _fixed_case(
+    theta: float, lambda1: float, lambda2: float, Gamma: float
+) -> tuple[float, CaseTag, float]:
+    """select_case at fixed unit powers p1 = p2 = 1: (gamma2, tag, alpha2*).
 
-    Requires Gamma <= 1 (unit power caps the reachable user-1 SINR at
-    lambda1).  alpha2* follows select_case on the coefficients at unit
-    powers.
+    Requires theta in [0, 1] and Gamma in [0, 1] (check_target with bound
+    1: unit power caps the reachable user-1 SINR at lambda1).
     """
-    th, G = params.theta, params.Gamma
-    if G > 1.0 + 1e-12:
-        raise InfeasibleTargetError(
-            f"Gamma={G:.6g} > 1 is infeasible at fixed unit user-1 power"
-        )
-    abc = _coeffs(params.lambda1, params.lambda2, th, min(G, 1.0), 1.0, 1.0)
-    gamma2, tag, alpha2 = select_case(*abc, th)
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError("theta must lie in [0, 1]")
+    G = check_target(Gamma, 1.0)
+    return select_case(*_coeffs(lambda1, lambda2, theta, G, 1.0, 1.0), theta)
+
+
+def fixed_power_design(ch: TwoUserChannel, params: DerivedParams) -> BeamSolution:
+    """Beam-only design at fixed unit powers p1 = p2 = 1 (_fixed_case)."""
+    gamma2, tag, alpha2 = _fixed_case(params.theta, params.lambda1, params.lambda2, params.Gamma)
     return _build_solution(ch, params, 1.0, 1.0, gamma2, tag, alpha2)
 
 
@@ -644,9 +647,9 @@ def pareto_boundary(ch: TwoUserChannel, n_points: int) -> list[tuple[float, floa
     for G in np.linspace(0.0, ch.P, n_points):
         params = derive_params(ch, float(G) * lam1)
         r2_power = log2_1p(optimize_p1(ch, params).gamma2_star)
-        if params.Gamma <= 1.0:
+        try:
             r2_fixed = log2_1p(fixed_power_design(ch, params).gamma2_star)
-        else:
+        except InfeasibleTargetError:
             r2_fixed = math.nan
         rows.append((log2_1p(params.gamma1_star), r2_fixed, r2_power))
     return rows

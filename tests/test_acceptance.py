@@ -64,7 +64,7 @@ def battery():
         sol = optimize_p1(ch, params)
         res = brute_force_max(ch, params, 2048, 2048)
         rows.append(
-            BatteryRow(ch, params, sol.gamma2_star, res, classify_case(ch, params))
+            BatteryRow(ch, params, sol.gamma2_star, res, classify_case(params, ch.P))
         )
     return rows, time.monotonic() - t0
 
@@ -87,7 +87,7 @@ def test_criterion_02_region_prediction_matches_oracle(battery):
     agree = 0
     boundary_ok = True
     for row in rows:
-        _, tag = gamma2_of_p1(row.oracle.p1, row.ch, row.params)
+        _, tag = gamma2_of_p1(row.oracle.p1, row.params, row.ch.P)
         expect = (
             CaseTag.CASE2 if row.region is OptRegion.OPT_IN_P2 else CaseTag.CASE3
         )
@@ -116,8 +116,8 @@ def test_criterion_03_case3_closed_form(battery):
             continue
         if row.params.theta in (0.0, 1.0):
             continue
-        p_cf = case3_closed_form_p1(row.ch, row.params)
-        p_num, _ = maximize_branch_gamma2(row.ch, row.params)
+        p_cf = case3_closed_form_p1(row.params, row.ch.P)
+        p_num, _ = maximize_branch_gamma2(row.params, row.ch.P)
         worst = max(worst, abs(p_cf - p_num))
         checked += 1
     _report(
@@ -181,7 +181,7 @@ def test_criterion_05_simple_power_identity():
         for th in THETA_GRID:
             ch = channel_from_quality(10.0, lam2, float(th), 10.0)
             params = derive_params(ch, 2.0 * ch.lambda1)
-            val, _ = gamma2_of_p1(params.Gamma, ch, params)
+            val, _ = gamma2_of_p1(params.Gamma, params, ch.P)
             res = gamma2_simple_power(
                 ch.theta, params.lambda1, params.lambda2, params.Gamma, ch.P
             )

@@ -8,7 +8,6 @@ from misonoma.angle_analysis import (
     PowerBranch,
     ThetaBand,
     _beam_angle,
-    _fixed_case,
     _solve_case_boundary,
     gamma2_fixed_vs_theta,
     gamma2_simple_power,
@@ -17,6 +16,8 @@ from misonoma.angle_analysis import (
 )
 from misonoma.two_user_core import (
     CaseTag,
+    InfeasibleTargetError,
+    _fixed_case,
     _gamma2_vec,
     channel_from_quality,
     derive_params,
@@ -43,8 +44,15 @@ class TestGamma2FixedVsTheta:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             gamma2_fixed_vs_theta(1.2, 10.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            gamma2_fixed_vs_theta(0.5, 10.0, 1.0, 1.5)
+        for G in (1.5, -0.5, math.nan):
+            with pytest.raises(InfeasibleTargetError, match="Gamma="):
+                gamma2_fixed_vs_theta(0.5, 10.0, 1.0, G)
+            with pytest.raises(InfeasibleTargetError, match="Gamma="):
+                optimal_theta_region(10.0, 1.0, G)
+        # the unit-power bound admits round-off above 1, clamped to 1
+        at_one = gamma2_fixed_vs_theta(0.5, 10.0, 1.0, 1.0)
+        assert gamma2_fixed_vs_theta(0.5, 10.0, 1.0, 1.0 + 1e-13) == at_one
+        assert optimal_theta_region(10.0, 1.0, 1.0 + 1e-13) == optimal_theta_region(10.0, 1.0, 1.0)
 
 
 class TestClassifyThetaRegion:
@@ -148,9 +156,22 @@ class TestOptimalThetaRegion:
     def test_case_boundary_is_case_tag_flip(self):
         """The case-2/3 boundary that bounds the stationary-angle search
         lies where select_case's tag turns to case 3, to 1e-12 relative, on
-        the draws of test_stationary_angle_matches_scan."""
+        the draws of test_stationary_angle_matches_scan; and it is bitwise
+        the angle of a fixed 200-step bisection, which the solver cuts
+        short once the midpoint repeats an end."""
         for lam1, lam2, G, _ in self._high_out_of_band_draws(500):
             theta_a = _solve_case_boundary(lam1, lam2, G)
+            ref = 1.0
+            if _fixed_case(1.0, lam1, lam2, G)[1] is CaseTag.CASE3:
+                lo, hi = 1e-15, 1.0
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if _fixed_case(mid, lam1, lam2, G)[1] is CaseTag.CASE3:
+                        hi = mid
+                    else:
+                        lo = mid
+                ref = 0.5 * (lo + hi)
+            assert theta_a == ref, (lam1, lam2, G)
             below = _fixed_case(theta_a * (1.0 - 1e-12), lam1, lam2, G)[1]
             assert below is not CaseTag.CASE3, (lam1, lam2, G)
             if theta_a < 1.0:
@@ -201,8 +222,11 @@ class TestSimplePower:
         assert abs(Decimal(theta1) - ref) <= Decimal("1e-14") * ref
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            gamma2_simple_power(0.5, 10.0, 1.0, -1e-3, 10.0)
+        for G in (-1e-3, math.nan, 10.5):
+            with pytest.raises(InfeasibleTargetError, match="Gamma="):
+                gamma2_simple_power(0.5, 10.0, 1.0, G, 10.0)
+        # round-off above P is clamped to P, where nothing is left for user 2
+        assert gamma2_simple_power(0.5, 10.0, 1.0, 10.0 * (1.0 + 1e-13), 10.0).gamma2 == 0.0
 
     @pytest.mark.parametrize("lam1, lam2", [(10.0, 1.0), (10.0, 0.1), (10.0, 10.0), (100.0, 1e-3)])
     def test_zero_gamma_is_the_limit(self, lam1, lam2):
@@ -226,7 +250,7 @@ class TestSimplePower:
         for th in np.linspace(0.0, 1.0, 101):
             ch = channel_from_quality(10.0, lam2, float(th), 10.0)
             params = derive_params(ch, 2.0 * ch.lambda1)
-            val, _ = gamma2_of_p1(params.Gamma, ch, params)
+            val, _ = gamma2_of_p1(params.Gamma, params, ch.P)
             res = gamma2_simple_power(
                 ch.theta, params.lambda1, params.lambda2, params.Gamma, ch.P
             )

@@ -216,6 +216,8 @@ def test_infeasible_gamma_exit_code(tmp_path, capsys):
         # P_T/Nt = 5 at the default 10 dB and Nt = 2
         ["gamma-sweep", "--k", "8", "--trials", "1", "--gamma-max", "5.5"],
         ["gamma-sweep", "--k", "8", "--trials", "1", "--gamma-min", "-1"],
+        ["gamma-sweep", "--k", "8", "--trials", "1", "--gamma-max", "-1"],
+        ["angle-sweep", "--gamma", "-1"],
     ):
         assert main(argv + ["--out", str(out)]) == 3, argv
         assert argv[-1] in capsys.readouterr().err  # names the infeasible target

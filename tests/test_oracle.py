@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from misonoma.golden import golden_section_max, vector_golden_section_max
 from misonoma.oracle import brute_force_max, sample_instance
 from misonoma.two_user_core import (
+    DerivedParams,
+    InfeasibleTargetError,
     channel_from_quality,
     derive_params,
     fixed_power_design,
@@ -70,6 +74,11 @@ def test_grid_sizes_validated():
     ch, params = fig2_instance()
     with pytest.raises(ValueError):
         brute_force_max(ch, params, 32, 64)
+    # and the target: the oracle checks it as derive_params does
+    for G in (2.5, -0.5, math.nan):
+        bad = DerivedParams(params.lambda1, params.lambda2, params.theta, G)
+        with pytest.raises(InfeasibleTargetError, match="Gamma="):
+            brute_force_max(ch, bad, 64, 64)
 
 
 def test_result_point_is_feasible():

@@ -115,7 +115,7 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
             ch = TwoUserChannel(h_eff[k], g_eff, eps1, sig_hat, P)
             sol = optimize_p1(ch, derive_params(ch, Gamma * lam1))
             if best is None or sol.gamma2_star > best[1].gamma2_star:
-                best = (u, sol, sig_hat, g_eff)
+                best = (u, sol, sig_hat)
         ok, _, _ = candidate_reductions(
             np.array([u.h for u in remaining]),
             np.array([u.eps_sq for u in remaining]),
@@ -128,13 +128,13 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
         skips.append((skipped, {u.uid for u, keep in zip(remaining, ok) if not keep}))
         if best is None:
             w1 = math.sqrt(P) * w_hat[k]
-            w2, weak_id, g_eff, sig_hat, sol = np.zeros_like(w1), None, None, None, None
+            w2, weak_id, sig_hat, sol = np.zeros_like(w1), None, None, None
         else:
-            u, sol, sig_hat, g_eff = best
+            u, sol, sig_hat = best
             w1, w2, weak_id = sol.w1_scaled, sol.w2_scaled, u.uid
             remaining = [r for r in remaining if r.uid != u.uid]
         plan = ClusterPlan(
-            sel_users[k].uid, weak_id, h_eff[k], g_eff, eps1, sig_hat, sol, w1, w2, best is None
+            sel_users[k].uid, weak_id, h_eff[k], eps1, sig_hat, sol, w1, w2, best is None
         )
         plans.append(plan)
         W1.append(plan.w1_tilde)
@@ -649,6 +649,8 @@ class TestSchedule:
             schedule_targets(pool, strong, 10.0, [0.5, 1.0, 50.0])
         with pytest.raises(InfeasibleTargetError, match="Gamma=-1"):
             schedule_targets(pool, strong, 10.0, [-1.0, 0.5])
+        with pytest.raises(InfeasibleTargetError, match="Gamma=nan"):
+            schedule_targets(pool, strong, 10.0, [0.5, math.nan])
         assert schedule_targets(pool, strong, 10.0, []) == []
 
     def test_tie_goes_to_lowest_uid(self):

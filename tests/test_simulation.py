@@ -145,6 +145,8 @@ def test_run_trial_sweep_checks_targets_first(monkeypatch):
         run_trial_sweep(cfg, 0, [1.0, 2.0, 12.5, 3.0])
     with pytest.raises(InfeasibleTargetError, match="Gamma=-0.5"):
         run_trial_sweep(cfg, 0, [1.0, -0.5])
+    with pytest.raises(InfeasibleTargetError, match="Gamma=nan"):
+        run_trial_sweep(cfg, 0, [1.0, math.nan])
 
 
 def test_run_trial_sweep_follows_the_draws_bound():

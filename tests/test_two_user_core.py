@@ -139,8 +139,13 @@ class TestDerivedParams:
 
     def test_infeasible_target(self):
         ch = fig2_channel()
-        with pytest.raises(InfeasibleTargetError):
+        with pytest.raises(InfeasibleTargetError, match=r"Gamma=2\.5 outside \[0, 2\]"):
             derive_params(ch, 2.5 * ch.lambda1)  # Gamma = 2.5 > P = 2
+        for gamma1 in (-1e-9, math.nan):
+            with pytest.raises(InfeasibleTargetError, match="Gamma="):
+                derive_params(ch, gamma1)
+        # round-off above P is admitted and clamped to P
+        assert derive_params(ch, 2.0 * (1.0 + 1e-13) * ch.lambda1).Gamma == ch.P
 
     def test_ordering_validated_on_channel(self):
         with pytest.raises(ValueError):
@@ -227,28 +232,28 @@ class TestClassify:
         ch = fig2_channel()
         params = derive_params(ch, 0.5 * ch.lambda1)
         assert params.theta * params.Gamma < _tau_of(params)
-        assert classify_case(ch, params) is OptRegion.OPT_IN_P2
+        assert classify_case(params, ch.P) is OptRegion.OPT_IN_P2
 
     def test_negative_tau_case3(self):
         ch = channel_from_quality(10.0, 0.1, 0.5, 10.0)
         params = derive_params(ch, 2.0 * ch.lambda1)
         assert _tau_of(params) < 0
-        assert classify_case(ch, params) is OptRegion.OPT_IN_P3
+        assert classify_case(params, ch.P) is OptRegion.OPT_IN_P3
 
     def test_vanishing_weak_quality_case3(self):
         ch = channel_from_quality(10.0, 1e-6, 0.5, 10.0)
         params = derive_params(ch, 2.0 * ch.lambda1)
-        assert classify_case(ch, params) is OptRegion.OPT_IN_P3
+        assert classify_case(params, ch.P) is OptRegion.OPT_IN_P3
 
     def test_theta_zero_case2(self):
         ch = channel_from_quality(20.0, 3.0, 0.0, 2.0)
         params = derive_params(ch, 0.5 * ch.lambda1)
-        assert classify_case(ch, params) is OptRegion.OPT_IN_P2
+        assert classify_case(params, ch.P) is OptRegion.OPT_IN_P2
 
     def test_theta_one_case3(self):
         ch = channel_from_quality(20.0, 3.0, 1.0, 2.0)
         params = derive_params(ch, 0.5 * ch.lambda1)
-        assert classify_case(ch, params) is OptRegion.OPT_IN_P3
+        assert classify_case(params, ch.P) is OptRegion.OPT_IN_P3
 
     def test_aligned_equal_quality_case3(self):
         # lambda1 == lambda2 at theta = 1: tau can round an ulp above
@@ -261,7 +266,7 @@ class TestClassify:
                 params = derive_params(ch, G * ch.lambda1)
                 if params.theta == 1.0:  # a few come back one ulp below 1
                     aligned += 1
-                    assert classify_case(ch, params) is OptRegion.OPT_IN_P3, (lam, G)
+                    assert classify_case(params, ch.P) is OptRegion.OPT_IN_P3, (lam, G)
         assert aligned >= 2000
 
 
@@ -269,7 +274,7 @@ class TestGamma2OfP1:
     def test_full_power_zero(self):
         ch = fig2_channel()
         params = derive_params(ch, 0.5 * ch.lambda1)
-        val, tag = gamma2_of_p1(ch.P, ch, params)
+        val, tag = gamma2_of_p1(ch.P, params, ch.P)
         assert val == 0.0
         assert tag is CaseTag.CASE1
 
@@ -277,7 +282,7 @@ class TestGamma2OfP1:
         # at p1 = Gamma the case-3 value is (P-Gamma)/Gamma / (theta + 1/(lam2*Gamma))
         ch = channel_from_quality(10.0, 1e-4, 0.5, 10.0)
         params = derive_params(ch, 2.0 * ch.lambda1)
-        val, tag = gamma2_of_p1(params.Gamma, ch, params)
+        val, tag = gamma2_of_p1(params.Gamma, params, ch.P)
         G, th, lam2 = params.Gamma, params.theta, params.lambda2
         expect = (ch.P - G) / G / (th + 1.0 / (lam2 * G))
         assert tag is CaseTag.CASE3
@@ -302,7 +307,7 @@ class TestGamma2OfP1:
         grids, scalars = [], []
         for ch, params in instances:
             grid = np.linspace(params.Gamma, ch.P, P1_GRID)
-            scalar = [gamma2_of_p1(float(p), ch, params)[0] for p in grid]
+            scalar = [gamma2_of_p1(float(p), params, ch.P)[0] for p in grid]
             lam1, lam2, th, G = params.lambda1, params.lambda2, params.theta, params.Gamma
             np.testing.assert_allclose(
                 _gamma2_at(grid, lam1, lam2, th, G, ch.P),
@@ -356,10 +361,7 @@ class TestGamma2OfP1:
                 G,
                 P,
             )
-            scalar = [
-                maximize_gamma2_over_p1(channel_from_quality(lam1, l2, th, P), prm)[1]
-                for l2, th, prm in zip(lam2, theta, params)
-            ]
+            scalar = [maximize_gamma2_over_p1(prm, P)[1] for prm in params]
             np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-15)
 
     def test_batch_with_per_row_targets_matches_one_call_per_target(self):
@@ -390,17 +392,16 @@ class TestGamma2OfP1:
             cols = (lam2[:, None], theta[:, None])
             scan = _gamma2_at(np.linspace(G, P, 4096), lam1, *cols, G, P)
             grid = _gamma2_at(np.linspace(G, P, P1_GRID), lam1, *cols, G, P)
-            ch = channel_from_quality(lam1, lam1, 1.0, P)  # gamma2_of_p1 reads only P
             new = maximize_gamma2_batch(lam1, lam2, theta, G, P)
             for j in range(rows):
                 prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G)
                 _, old = _grid_golden_max(
-                    lambda p: gamma2_of_p1(p, ch, prm)[0], lambda _: grid[j], G, P
+                    lambda p: gamma2_of_p1(p, prm, P)[0], lambda _: grid[j], G, P
                 )
                 ref = (1.0 - 1e-9) * max(old, scan[j].max())
                 assert new[j] >= ref, (lam1, lam2[j], theta[j], G, P)
                 if j % 10 == 0:
-                    assert maximize_gamma2_over_p1(ch, prm)[1] >= ref
+                    assert maximize_gamma2_over_p1(prm, P)[1] >= ref
 
     def test_bounds_hold_on_edge_draws(self):
         """gamma2_bounds' closed-form upper bound (with its guard) is never
@@ -419,10 +420,9 @@ class TestGamma2OfP1:
             assert lower.tobytes() == scan[:, 0].tobytes()
             best = maximize_gamma2_batch(lam1, lam2, theta, G, P)
             assert (lower <= best).all() and (best <= upper).all()
-            ch = channel_from_quality(lam1, lam1, 1.0, P)  # gamma2_of_p1 reads only P
             for j in range(0, rows, 10):
                 prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G)
-                assert max(gamma2_of_p1(float(p), ch, prm)[0] for p in p1[::8]) <= upper[j]
+                assert max(gamma2_of_p1(float(p), prm, P)[0] for p in p1[::8]) <= upper[j]
 
 
 
@@ -462,10 +462,9 @@ class TestRegionSolve:
             got = maximize_gamma2_batch(lam1, lam2, theta, G, P)
             case2, p1 = _region_vec(lam1, lam2, theta, G, P)
             at_gamma = _gamma2_at(np.full(lam2.shape, G), lam1, lam2, theta, G, P)
-            ch = channel_from_quality(lam1, lam1, 1.0, P)  # the search reads only P
             for j in np.flatnonzero(case2 | ~np.isfinite(p1)).tolist():
                 prm = DerivedParams(lam1, float(lam2[j]), float(theta[j]), G)
-                want = max(maximize_gamma2_over_p1(ch, prm)[1], at_gamma[j])
+                want = max(maximize_gamma2_over_p1(prm, P)[1], at_gamma[j])
                 assert got[j] == want, (lam1, lam2[j], theta[j], G, P)
                 searched += 1
         assert searched >= 10**4 // 4
@@ -491,11 +490,10 @@ class TestRegionSolve:
         # rule written out on floats, on every one of 10^4 edge draws
         for lam1, lam2, theta, G, P in _edge_draws(np.random.default_rng(41)):
             case2, _ = _region_vec(lam1, lam2, theta, G, P)
-            ch = channel_from_quality(lam1, lam1, 1.0, P)  # classify_case reads only P
             for j in range(len(lam2)):
                 l2, th = float(lam2[j]), float(theta[j])
                 prm = DerivedParams(lam1, l2, th, G)
-                scalar = classify_case(ch, prm) is OptRegion.OPT_IN_P2
+                scalar = classify_case(prm, P) is OptRegion.OPT_IN_P2
                 assert bool(case2[j]) == scalar == _classify_reference(lam1, l2, th, G, P)
 
     def test_aligned_rows_return_endpoint_value(self):
@@ -619,12 +617,12 @@ class TestCase3ClosedForm:
         checked = 0
         while checked < 10:
             ch, params = _random_params(rng)
-            if classify_case(ch, params) is not OptRegion.OPT_IN_P3:
+            if classify_case(params, ch.P) is not OptRegion.OPT_IN_P3:
                 continue
             if params.theta in (0.0, 1.0):
                 continue
-            p_cf = case3_closed_form_p1(ch, params)
-            p_num, _ = maximize_branch_gamma2(ch, params)
+            p_cf = case3_closed_form_p1(params, ch.P)
+            p_num, _ = maximize_branch_gamma2(params, ch.P)
             assert p_cf == pytest.approx(p_num, abs=1e-6)
             checked += 1
 
@@ -647,9 +645,8 @@ class TestCase3ClosedForm:
             r = np.minimum(np.divide(G, p1, out=np.zeros_like(p1), where=p1 > 0.0), 1.0)
             a1 = np.where(r <= 1.0 - th, 0.0, np.sqrt(th * r) - np.sqrt((1.0 - th) * (1.0 - r)))
             scan = np.maximum(P - p1, 0.0) * lam2 / (lam2 * p1 * a1 * a1 + 1.0)
-            ch = channel_from_quality(lam1, lam1, 1.0, P)  # the branch reads only P from ch
             prm = DerivedParams(lam1, lam2, th, G)
-            _, best = maximize_branch_gamma2(ch, prm)
+            _, best = maximize_branch_gamma2(prm, P)
             assert best >= (1.0 - 1e-9) * scan.max(), (lam1, lam2, th, G, P)
 
     def test_converges_to_minimum_power(self):
@@ -657,7 +654,7 @@ class TestCase3ClosedForm:
         for lam2 in (1e-2, 1e-3, 1e-4):
             ch = channel_from_quality(10.0, lam2, 0.5, 10.0)
             params = derive_params(ch, 2.0 * ch.lambda1)
-            gap = case3_closed_form_p1(ch, params) - params.Gamma
+            gap = case3_closed_form_p1(params, ch.P) - params.Gamma
             assert gap >= 0.0
             if prev is not None:
                 assert gap < prev
@@ -668,7 +665,7 @@ class TestCase3ClosedForm:
         ch = channel_from_quality(10.0, 0.1, 0.0, 10.0)
         params = derive_params(ch, 2.0 * ch.lambda1)
         with pytest.raises(ValueError):
-            case3_closed_form_p1(ch, params)
+            case3_closed_form_p1(params, ch.P)
 
 
 class TestFixedPower:
@@ -698,6 +695,10 @@ class TestFixedPower:
         params = derive_params(ch, 1.5 * ch.lambda1)  # Gamma = 1.5 > 1
         with pytest.raises(InfeasibleTargetError):
             fixed_power_design(ch, params)
+        for G in (-0.5, math.nan):
+            params = DerivedParams(params.lambda1, params.lambda2, params.theta, G)
+            with pytest.raises(InfeasibleTargetError, match="Gamma="):
+                fixed_power_design(ch, params)
 
     def test_matches_alpha2_grid_oracle(self):
         rng = np.random.default_rng(5)
