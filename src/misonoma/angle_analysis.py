@@ -21,6 +21,7 @@ from .two_user_core import (
     CaseTag,
     _fixed_case,
     channel_from_quality,
+    check_qualities,
     check_target,
     derive_params,
     optimize_p1,
@@ -87,6 +88,7 @@ def optimal_theta_region(
     multi-peaked curve turned up in 3,000 such draws scanned at 4096
     angles each).
     """
+    check_qualities(lambda1, lambda2)
     Gamma = check_target(Gamma, 1.0)
     if lambda1 < lambda2:
         raise ValueError("requires lambda1 >= lambda2")
@@ -187,6 +189,7 @@ def gamma2_simple_power(
     lambda2/lambda1, the leading factor (P - Gamma)/(Gamma (1 + y)) tends
     to P*lambda1, and the weak user's own branch to P*lambda2.
     """
+    check_qualities(lambda1, lambda2)
     Gamma = check_target(Gamma, P)
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")

@@ -33,6 +33,8 @@ from .two_user_core import (
 )
 
 ALPHA1_SAMPLES = 1024
+_FRACS = np.linspace(0.0, 1.0, ALPHA1_SAMPLES)  # sample positions from 0 to the anchor
+BISECTION_STEPS = 60
 _FEAS_TOL = 1e-12
 # Grid rows evaluated per block: the grid scans are elementwise and
 # row-wise, so blocking bounds the temporaries without changing a value.
@@ -46,6 +48,13 @@ class OracleResult:
     alpha2: float
     alpha1: float
     grid_sizes: tuple[int, int]
+
+
+def _violation(t, alpha, sq_th: float, one_m: float):
+    """Disk violation alpha1^2 + beta1^2 - 1 at alpha1 = alpha on the
+    constraint segment of t, on floats or arrays alike."""
+    beta = t - sq_th * alpha
+    return alpha * alpha + beta * beta / one_m - 1.0
 
 
 def _min_feasible_alpha1(t: np.ndarray, theta: float) -> np.ndarray:
@@ -62,26 +71,42 @@ def _min_feasible_alpha1(t: np.ndarray, theta: float) -> np.ndarray:
         return t.copy()
     sq_th = math.sqrt(theta)
     one_m = 1.0 - theta
-
-    def violation(tt, alpha):
-        beta = tt - sq_th * alpha
-        return alpha * alpha + beta * beta / one_m - 1.0
-
     anchor = sq_th * t
-    fracs = np.linspace(0.0, 1.0, ALPHA1_SAMPLES)
     first = np.empty(t.size, dtype=np.intp)  # first feasible sample per row
     for s in range(0, t.size, GRID_BLOCK_ROWS):
         blk = slice(s, s + GRID_BLOCK_ROWS)
-        feas = violation(t[blk, None], anchor[blk, None] * fracs[None, :]) <= _FEAS_TOL
-        first[blk] = np.argmax(feas, axis=1)
-    lo = anchor * fracs[np.maximum(first - 1, 0)]
-    hi = anchor * fracs[first]
-    for _ in range(60):
+        alpha = anchor[blk, None] * _FRACS[None, :]
+        first[blk] = np.argmax(_violation(t[blk, None], alpha, sq_th, one_m) <= _FEAS_TOL, axis=1)
+    lo = anchor * _FRACS[np.maximum(first - 1, 0)]
+    hi = anchor * _FRACS[first]
+    for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        ok = violation(t, mid) <= _FEAS_TOL
+        ok = _violation(t, mid, sq_th, one_m) <= _FEAS_TOL
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
     return np.where(first == 0, 0.0, hi)
+
+
+def _min_feasible_alpha1_scalar(t: float, theta: float) -> float:
+    """_min_feasible_alpha1 at one t, bitwise: the same sample scan as one
+    array expression, then the same bisection on floats, which costs far
+    less than numpy on one-element arrays."""
+    if theta == 1.0:
+        return t
+    sq_th = math.sqrt(theta)
+    one_m = 1.0 - theta
+    alpha = (sq_th * t) * _FRACS
+    first = int(np.argmax(_violation(t, alpha, sq_th, one_m) <= _FEAS_TOL))
+    if first == 0:
+        return 0.0
+    lo, hi = float(alpha[first - 1]), float(alpha[first])
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if _violation(t, mid, sq_th, one_m) <= _FEAS_TOL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def brute_force_max(
@@ -144,8 +169,7 @@ def brute_force_max(
 
     def row(p: float):
         """Minimal alpha1 at user-1 power p and the objective over alpha2."""
-        tt = np.array([math.sqrt(min(G / p, 1.0)) if p > 0 else 0.0])
-        a1 = float(_min_feasible_alpha1(tt, th)[0])
+        a1 = _min_feasible_alpha1_scalar(math.sqrt(min(G / p, 1.0)) if p > 0 else 0.0, th)
         r = math.sqrt(max(P - p, 0.0))
         dd = math.sqrt(p * k2sq * a1 * a1 + ch.sigma2_sq)
 

@@ -16,28 +16,31 @@ gamma1* for user 1.  Each beam is parameterized in the basis given by the
 component of the user's channel parallel/orthogonal to the other user's
 channel; user 2 always transmits at full remaining power while user 1 may
 back off.  For a fixed user-1 power p1, the inner problem has a three-case
-closed form; the outer problem over p1 is solved numerically, by one
-golden section over the whole of [Gamma, P] plus the endpoint p1 = Gamma
-(classify_case predicts which case holds at the optimum).  The search needs
-no grid: no p1 curve with more than one local maximum turned up in 10^5
-edge-weighted draws scanned at 4096 points each.  Where case 3 is
-predicted, the optimum p1 is also known in closed form
-(case3_closed_form_p1), and p1 = Gamma when the channels are aligned.
+closed form; the outer problem over p1 is solved by region.  The region
+rule (classify_case) predicts which case holds at the optimum.  Where it
+predicts case 3, the optimum p1 is known in closed form
+(case3_closed_form_p1), p1 = Gamma when the channels are aligned, and the
+endpoint p1 = Gamma is kept if it is strictly better.  Only where it
+predicts case 2 (or the closed form is not finite) is p1 searched
+numerically, by one golden section over the whole of [Gamma, P] plus the
+endpoint p1 = Gamma.  The search needs no grid: no p1 curve with more than
+one local maximum turned up in 10^5 edge-weighted draws scanned at 4096
+points each.
 
 Each formula is written once: check_target is the target interval
-0 <= Gamma <= P, _alpha1 the minimal user-1 weight, _coeffs the inner
-coefficients at powers (p1, p2), select_case the three-case rule,
-_fixed_case that rule at fixed unit powers, and _max_over_p1 the one p1
-search; _gamma2_vec is the array form of the rule, and _region_vec the
-array form of the region prediction and the case-3 p1, which classify_case
-and case3_closed_form_p1 evaluate at one instance.  The p1 search and the
-region rule read nothing of the channel but its power, so they take
-(params, P); only the functions that build beams take the channel.
-maximize_gamma2_batch scores many instances by region, and runs
-maximize_gamma2_over_p1 one row at a time only where the closed form does
-not apply; gamma2_bounds brackets its result, with a closed-form cap over
-all of [Gamma, P], so that the scheduler can drop candidates before they
-are scored.
+0 <= Gamma <= P, check_qualities the positive channel qualities, _alpha1
+the minimal user-1 weight, _coeffs the inner coefficients at powers
+(p1, p2), select_case the three-case rule, _fixed_case that rule at fixed
+unit powers, and _max_over_p1 the one p1 search; _gamma2_vec is the array
+form of the rule, and _region_vec the array form of the region prediction
+and the case-3 p1, which classify_case, case3_closed_form_p1 and
+optimize_p1 evaluate at one instance.  The p1 search and the region rule
+read nothing of the channel but its power, so they take (params, P); only
+the functions that build beams take the channel.  maximize_gamma2_batch
+scores many instances by region, and runs maximize_gamma2_over_p1 one row
+at a time only where the closed form does not apply; gamma2_bounds
+brackets its result, with a closed-form cap over all of [Gamma, P], so
+that the scheduler can drop candidates before they are scored.
 """
 
 from __future__ import annotations
@@ -134,6 +137,14 @@ class TwoUserChannel:
         return angle_theta(self.h1, self.h2)
 
 
+def check_qualities(lambda1: float, lambda2: float) -> None:
+    """Raise ValueError, naming the bad one, unless both channel qualities
+    are positive (NaN fails too)."""
+    for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 def channel_from_quality(
     lambda1: float, lambda2: float, theta: float, P: float
 ) -> TwoUserChannel:
@@ -143,9 +154,7 @@ def channel_from_quality(
     h1 points along e1 with ||h1||^2 = lambda1; h2 lies in the e1/e2 plane
     at squared correlation theta to h1.
     """
-    for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
+    check_qualities(lambda1, lambda2)
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     h1 = np.array([math.sqrt(lambda1), 0.0], dtype=np.complex128)
@@ -561,17 +570,25 @@ def _build_solution(
 
 
 def optimize_p1(ch: TwoUserChannel, params: DerivedParams) -> BeamSolution:
-    """Full power-allocated Pareto-optimal design.
+    """Full power-allocated Pareto-optimal design, p1 by the region rule
+    (_region_vec), as maximize_gamma2_batch takes it row by row.
 
-    The case-region prediction is recorded implicitly through the returned
-    case tag; the numeric search runs on the pointwise-optimal SINR curve,
-    which coincides with the predicted case's branch at the optimum.
+    Where case 3 is predicted, p1 is the closed-form case-3 optimum (p1 =
+    Gamma at theta = 1), or the endpoint p1 = Gamma if its SINR is strictly
+    larger.  Where case 2 is predicted (every theta = 0 instance is) or the
+    closed form is not finite, maximize_gamma2_over_p1 searches for p1.
+    The beams are then built at p1, with select_case's tag and alpha2*.
     """
-    p1_opt, _ = maximize_gamma2_over_p1(params, ch.P)
-    th = params.theta
-    abc = _coeffs(params.lambda1, params.lambda2, th, params.Gamma, p1_opt, ch.P - p1_opt)
+    P, G, th = ch.P, params.Gamma, params.theta
+    case2, p1 = _region_vec(params.lambda1, params.lambda2, th, G, P)
+    p1 = float(p1)
+    if case2 or not math.isfinite(p1):
+        p1, _ = maximize_gamma2_over_p1(params, P)
+    elif gamma2_of_p1(G, params, P)[0] > gamma2_of_p1(p1, params, P)[0]:
+        p1 = G
+    abc = _coeffs(params.lambda1, params.lambda2, th, G, p1, P - p1)
     gamma2, tag, alpha2 = select_case(*abc, th)
-    return _build_solution(ch, params, p1_opt, ch.P - p1_opt, gamma2, tag, alpha2)
+    return _build_solution(ch, params, p1, P - p1, gamma2, tag, alpha2)
 
 
 def case3_closed_form_p1(params: DerivedParams, P: float) -> float:
@@ -617,11 +634,13 @@ def _fixed_case(
 ) -> tuple[float, CaseTag, float]:
     """select_case at fixed unit powers p1 = p2 = 1: (gamma2, tag, alpha2*).
 
-    Requires theta in [0, 1] and Gamma in [0, 1] (check_target with bound
-    1: unit power caps the reachable user-1 SINR at lambda1).
+    Requires theta in [0, 1], positive qualities (check_qualities) and
+    Gamma in [0, 1] (check_target with bound 1: unit power caps the
+    reachable user-1 SINR at lambda1).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
+    check_qualities(lambda1, lambda2)
     G = check_target(Gamma, 1.0)
     return select_case(*_coeffs(lambda1, lambda2, theta, G, 1.0, 1.0), theta)
 

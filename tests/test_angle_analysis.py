@@ -44,6 +44,12 @@ class TestGamma2FixedVsTheta:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             gamma2_fixed_vs_theta(1.2, 10.0, 1.0, 0.5)
+        # nonpositive or NaN channel qualities, named in the message
+        for lam1, lam2, name in ((-1.0, -2.0, "lambda1"), (math.nan, 1.0, "lambda1"), (10.0, 0.0, "lambda2")):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                gamma2_fixed_vs_theta(0.5, lam1, lam2, 0.5)
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                optimal_theta_region(lam1, lam2, 0.5)
         for G in (1.5, -0.5, math.nan):
             with pytest.raises(InfeasibleTargetError, match="Gamma="):
                 gamma2_fixed_vs_theta(0.5, 10.0, 1.0, G)
@@ -225,6 +231,10 @@ class TestSimplePower:
         for G in (-1e-3, math.nan, 10.5):
             with pytest.raises(InfeasibleTargetError, match="Gamma="):
                 gamma2_simple_power(0.5, 10.0, 1.0, G, 10.0)
+        # and nonpositive or NaN channel qualities, named in the message
+        for lam1, lam2, name in ((10.0, 0.0, "lambda2"), (math.nan, 1.0, "lambda1"), (-1.0, -2.0, "lambda1")):
+            with pytest.raises(ValueError, match=f"{name} must be positive"):
+                gamma2_simple_power(0.5, lam1, lam2, 1.0, 2.0)
         # round-off above P is clamped to P, where nothing is left for user 2
         assert gamma2_simple_power(0.5, 10.0, 1.0, 10.0 * (1.0 + 1e-13), 10.0).gamma2 == 0.0
 

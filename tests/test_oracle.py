@@ -1,10 +1,16 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from misonoma.golden import golden_section_max, vector_golden_section_max
-from misonoma.oracle import brute_force_max, sample_instance
+from misonoma.oracle import (
+    _min_feasible_alpha1,
+    _min_feasible_alpha1_scalar,
+    brute_force_max,
+    sample_instance,
+)
 from misonoma.two_user_core import (
     DerivedParams,
     InfeasibleTargetError,
@@ -79,6 +85,34 @@ def test_grid_sizes_validated():
         bad = DerivedParams(params.lambda1, params.lambda2, params.theta, G)
         with pytest.raises(InfeasibleTargetError, match="Gamma="):
             brute_force_max(ch, bad, 64, 64)
+
+
+def test_scalar_alpha1_is_the_array_path_bitwise():
+    # the p1 polish's float path against the array path, one t at a time,
+    # at the angle edges and at t = 0, t = 1 and random t
+    rng = np.random.default_rng(53)
+    ts = [0.0, 1.0, *rng.uniform(0.0, 1.0, 20).tolist()]
+    for theta in (0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0, *rng.uniform(0.0, 1.0, 5).tolist()):
+        want = _min_feasible_alpha1(np.array(ts), theta)
+        for t, w in zip(ts, want.tolist()):
+            got = _min_feasible_alpha1_scalar(t, theta)
+            assert type(got) is float and got == w, (t, theta)
+
+
+# sha256 of repr((gamma2, p1, alpha2, alpha1, grid_sizes)) over the first
+# eight instances of the acceptance battery (seed 20240809, 2048 x 2048),
+# as the oracle computed them with the p1 polish on one-element arrays
+BATTERY_HEAD_DIGEST = "51d0a67c71d25b2a7e25314aed4ad4a44f1589f28dc35628219ac5667766eb2e"
+
+
+def test_battery_head_digest_unchanged():
+    rng = np.random.default_rng(20240809)
+    h = hashlib.sha256()
+    for _ in range(8):
+        ch, params = sample_instance(rng)
+        r = brute_force_max(ch, params, 2048, 2048)
+        h.update(repr((r.gamma2, r.p1, r.alpha2, r.alpha1, r.grid_sizes)).encode())
+    assert h.hexdigest() == BATTERY_HEAD_DIGEST
 
 
 def test_result_point_is_feasible():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misonoma import two_user_core
 from misonoma.golden import golden_section_max, vector_golden_section_max
 from misonoma.oracle import sample_instance
 from misonoma.two_user_core import (
@@ -18,6 +19,7 @@ from misonoma.two_user_core import (
     TwoUserChannel,
     _alpha1,
     _coeffs,
+    _fixed_case,
     _gamma2_vec,
     _region_vec,
     _tau,
@@ -158,11 +160,17 @@ class TestDerivedParams:
 
     @pytest.mark.parametrize(
         "lam1, lam2, name",
-        [(0.0, 0.0, "lambda1"), (-1.0, -2.0, "lambda1"), (20.0, 0.0, "lambda2"), (20.0, -2.0, "lambda2")],
+        [
+            (0.0, 0.0, "lambda1"), (-1.0, -2.0, "lambda1"), (math.nan, 1.0, "lambda1"),
+            (20.0, 0.0, "lambda2"), (20.0, -2.0, "lambda2"), (20.0, math.nan, "lambda2"),
+        ],
     )
     def test_nonpositive_quality_rejected(self, lam1, lam2, name):
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             channel_from_quality(lam1, lam2, 0.5, 2.0)
+        # the fixed-power rule checks them too (check_qualities)
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            _fixed_case(0.5, lam1, lam2, 0.5)
 
 
 class TestAlpha1:
@@ -597,6 +605,54 @@ class TestOptimizeP1:
             )
             rhs = math.sqrt(params.gamma1_star * ch.sigma1_sq)
             assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-9)
+
+    def test_case3_p1_is_well_conditioned(self):
+        # a one-ulp scaling of h1 moves a case-3 design's p1 by round-off
+        # only; golden section, which locates a flat maximum to about
+        # sqrt(eps), moved it by up to 8e-8 relative on these instances
+        # (about one draw in a hundred is case 3)
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 99:
+            ch, params = sample_instance(rng)
+            if classify_case(params, ch.P) is not OptRegion.OPT_IN_P3:
+                continue
+            ch_ulp = TwoUserChannel(ch.h1 * (1.0 + 2.0**-52), ch.h2, 1.0, 1.0, ch.P)
+            p1 = optimize_p1(ch, params).p1
+            p1_ulp = optimize_p1(ch_ulp, derive_params(ch_ulp, params.gamma1_star)).p1
+            assert abs(p1_ulp - p1) <= 1e-12 * p1, (params, ch.P)
+            checked += 1
+
+    def test_case3_design_takes_closed_form(self, monkeypatch):
+        """Where case 3 is predicted, optimize_p1 runs no search: p1 is
+        case3_closed_form_p1, or Gamma at theta = 1 or where the endpoint
+        is strictly better; and its SINR is never below the golden section
+        by more than round-off, on edge-weighted draws."""
+        searches = []
+
+        def counting(*args, **kwargs):
+            searches.append(args[1:3])
+            return golden_section_max(*args, **kwargs)
+
+        monkeypatch.setattr(two_user_core, "golden_section_max", counting)
+        checked = 0
+        for lam1, lam2, theta, G, P in _edge_draws(np.random.default_rng(59), groups=20):
+            case2, p1_cf = _region_vec(lam1, lam2, theta, G, P)
+            for j in np.flatnonzero(~case2 & np.isfinite(p1_cf)).tolist():
+                l2, th = float(lam2[j]), float(theta[j])
+                prm = DerivedParams(lam1, l2, th, G)
+                sol = optimize_p1(channel_from_quality(lam1, l2, th, P), prm)
+                assert not searches, (lam1, l2, th, G, P)
+                _, ref = maximize_gamma2_over_p1(prm, P)
+                searches.clear()
+                assert sol.gamma2_star >= ref * (1.0 - 1e-14), (lam1, l2, th, G, P)
+                if th == 1.0:
+                    assert sol.p1 == G
+                elif sol.p1 != case3_closed_form_p1(prm, P):
+                    cf = case3_closed_form_p1(prm, P)
+                    assert sol.p1 == G and gamma2_of_p1(G, prm, P)[0] > gamma2_of_p1(cf, prm, P)[0]
+                checked += 1
+        assert checked >= 500
 
     @settings(max_examples=20, deadline=None)
     @given(st.floats(0.0, 2 * np.pi))
