@@ -35,7 +35,7 @@ state, and one call scores the candidates of all of them, with Gamma given
 per row.
 The score only picks the winner: each target's winner goes through the
 scalar design (estimate_ici, project_complement, derive_params,
-optimize_p1), which builds its beams.
+optimize_p1), which takes p1 by the same region rule and builds its beams.
 """
 
 from __future__ import annotations

@@ -631,7 +631,7 @@ class TestOptimizeP1:
         searches = []
 
         def counting(*args, **kwargs):
-            searches.append(args[1:3])
+            searches.append(args[1:3])  # the bracket
             return golden_section_max(*args, **kwargs)
 
         monkeypatch.setattr(two_user_core, "golden_section_max", counting)
@@ -648,9 +648,10 @@ class TestOptimizeP1:
                 assert sol.gamma2_star >= ref * (1.0 - 1e-14), (lam1, l2, th, G, P)
                 if th == 1.0:
                     assert sol.p1 == G
-                elif sol.p1 != case3_closed_form_p1(prm, P):
+                else:
                     cf = case3_closed_form_p1(prm, P)
-                    assert sol.p1 == G and gamma2_of_p1(G, prm, P)[0] > gamma2_of_p1(cf, prm, P)[0]
+                    end_wins = gamma2_of_p1(G, prm, P)[0] > gamma2_of_p1(cf, prm, P)[0]
+                    assert sol.p1 == cf or (sol.p1 == G and end_wins), (lam1, l2, th, G, P)
                 checked += 1
         assert checked >= 500
 
