@@ -28,6 +28,15 @@ def as_cvec(x) -> np.ndarray:
     return v
 
 
+def as_rows(x) -> np.ndarray:
+    """Validate and convert a vector (as one row) or an (n, Nt) stack to a
+    2-D complex array with finite entries and Nt >= 1."""
+    v = np.asarray(x, dtype=np.complex128)
+    if v.ndim not in (1, 2) or v.shape[-1] < 1 or not np.isfinite(v).all():
+        raise ValueError("expected a finite vector or (n, Nt) stack with Nt >= 1")
+    return np.atleast_2d(v)
+
+
 def gram_schmidt(vectors) -> np.ndarray:
     """Orthonormal basis of the span of vectors (an (m, n) matrix or a
     sequence of m vectors of one length), as the rows of an (r, n) matrix,
@@ -56,16 +65,23 @@ def gram_schmidt(vectors) -> np.ndarray:
     return np.array(basis, dtype=np.complex128).reshape(-1, V.shape[1])
 
 
-def project_complement(v, basis: np.ndarray) -> np.ndarray:
-    """Component of v orthogonal to the span of the rows of an orthonormal
-    basis: v - sum_i <b_i, v> b_i."""
-    v = as_cvec(v)
-    if basis.shape[1] != v.size:
+def vdot_rows(w: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """np.vdot(w, h) for every row h of H, written elementwise so that a
+    row's value does not depend on the other rows."""
+    return (w.conj() * H).sum(axis=1)
+
+
+def project_complement(V, basis) -> np.ndarray:
+    """v - sum_i <b_i, v> b_i for a vector v = V or every row v of an (n, Nt)
+    stack V: its component orthogonal to the rows of an orthonormal (r, Nt)
+    basis (r may be 0).  A vector is projected as a one-row stack, so a
+    row's result is bitwise the same alone, as a vector or in any stack."""
+    rows = as_rows(V)
+    basis = np.asarray(basis, dtype=np.complex128)
+    if basis.ndim != 2 or basis.shape[1] != rows.shape[1]:
         raise ValueError("vector/basis dimension mismatch")
-    out = np.zeros_like(v)
-    for b in basis:
-        out += np.vdot(b, v) * b
-    return v - out
+    out = rows - sum(np.outer(vdot_rows(b, rows), b) for b in basis)
+    return out[0] if np.ndim(V) == 1 else out
 
 
 # A vector whose largest entry lies in [2^-101, 2^100) needs no scaling:

@@ -33,9 +33,9 @@ form is not finite run the scalar p1 search, one row at a time.  Several
 targets run in lockstep, cluster by cluster: each keeps its own pairing
 state, and one call scores the candidates of all of them, with Gamma given
 per row.
-The score only picks the winner: each target's winner goes through the
-scalar design (estimate_ici, project_complement, derive_params,
-optimize_p1), which takes p1 by the same region rule and builds its beams.
+Each winner is designed from the projected channel and ICI estimate of
+the row it was scored on; derive_params and optimize_p1, which takes p1 by
+the same region rule, build its beams.
 """
 
 from __future__ import annotations
@@ -48,9 +48,11 @@ import numpy as np
 
 from .complex_linalg import (
     as_cvec,
+    as_rows,
     gram_schmidt,
     pow2_normalized,
     project_complement,
+    vdot_rows,
 )
 from .two_user_core import (
     BeamSolution,
@@ -209,12 +211,6 @@ class SchedulerOutput:
     realized_rates: list[tuple[float, float]] = field(default_factory=list)
 
 
-def _vdot_rows(w: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """np.vdot(w, h) for every row h of H, written elementwise so that a
-    row's value does not depend on the other rows."""
-    return (w.conj() * H).sum(axis=1)
-
-
 def sus_select(pool_channels, cfg: SUSConfig) -> list[int]:
     """Greedy semi-orthogonal user selection over the rows of pool_channels
     (an (n, Nt) matrix or a sequence of n vectors of one length).
@@ -241,40 +237,29 @@ def sus_select(pool_channels, cfg: SUSConfig) -> list[int]:
             break  # remaining candidates lie in the selected span
         g = R[j] / res[j]
         selected.append(int(cand[j]))
-        keep = np.abs(_vdot_rows(g, H[cand])) <= cfg.delta * norms[cand]
+        keep = np.abs(vdot_rows(g, H[cand])) <= cfg.delta * norms[cand]
         keep[j] = False
         cand, R = cand[keep], R[keep]  # R[keep] is a copy, so H stays intact
-        R -= np.outer(_vdot_rows(g, R), g)
+        R -= np.outer(vdot_rows(g, R), g)
     return selected
 
 
-def estimate_ici(
-    weak_channel,
-    eps_sq: float,
-    designed_w1,
-    designed_w2,
-    pending_w_hat,
-    P: float,
-) -> float:
-    """Interference-plus-noise estimate at a weak-user candidate.
-
-    Designed clusters contribute through their power-scaled beams; pending
-    clusters through their normalized projected strong channels at full
-    cluster power P.
-    """
-    g = as_cvec(weak_channel)
-    total = float(eps_sq)
-    for w in list(designed_w1) + list(designed_w2):
-        w = as_cvec(w)
-        if w.size != g.size:
-            raise ValueError("beam/channel dimension mismatch")
-        total += abs(np.vdot(g, w)) ** 2
-    for w in pending_w_hat:
-        w = as_cvec(w)
-        if w.size != g.size:
-            raise ValueError("beam/channel dimension mismatch")
-        total += P * abs(np.vdot(g, w)) ** 2
-    return total
+def estimate_ici(H, eps_sq, beams, pending_w_hat, P: float):
+    """Interference-plus-noise estimate at a weak channel H (a float) or at
+    each row of an (n, Nt) stack H (an (n,) array), summed in this order:
+    the noise eps_sq, each designed beam, then each pending cluster's
+    normalized projected strong channel at full cluster power P.  A vector
+    is a one-row stack, so a row's estimate is bitwise the same alone, as a
+    vector or in any stack; a beam of another length raises ValueError."""
+    G = as_rows(H)
+    total = np.array(eps_sq, dtype=np.float64).reshape(len(G))  # a copy, one per row
+    for scale, ws in ((1.0, beams), (P, pending_w_hat)):
+        for w in ws:
+            w = np.asarray(w, dtype=np.complex128)
+            if w.shape != G.shape[1:]:
+                raise ValueError("beam/channel dimension mismatch")
+            total += scale * np.abs(vdot_rows(w, G)) ** 2
+    return float(total[0]) if np.ndim(H) == 1 else total
 
 
 def candidate_reductions(
@@ -287,45 +272,38 @@ def candidate_reductions(
     P: float,
 ):
     """Scalar reductions of weak candidates H (rows) paired with strong
-    channel h1 in one cluster, as a function reduce(rows, designed).
+    channel h1 in one cluster: (g_eff, reduce).
 
     The parts that do not depend on the pairing state are computed here,
-    once per cluster, over every row of H: the channels projected off the
-    basis, their squared norms, theta (on copies scaled by powers of two,
-    as angle_theta scales, so that tiny channels do not underflow) and each
-    pending cluster's term P*|<w, h>|^2.  reduce(rows, designed) then takes
-    the unpaired rows of one target and that target's designed beams, and
-    returns the mask of rows that keep the strong/weak ordering (the rows
-    it drops are skipped), and lambda2 and theta of the rows it keeps.
+    once per cluster, over every row of H: g_eff, the rows projected off the
+    basis, their squared norms and theta (on copies scaled by powers of
+    two, as angle_theta scales, so that tiny channels do not underflow).
+    reduce(rows, designed) then takes the unpaired rows of one target and
+    that target's designed beams, and returns the mask of rows that keep
+    the strong/weak ordering (the rows it drops are skipped), lambda2 and
+    theta of the rows it keeps, and sig_hat, the estimate_ici of every row.
 
-    Per row this is what the scalar design computes: the estimate_ici
-    estimate (noise, designed beams, then each pending cluster at full
-    power P, summed in that order), the channel projected off the basis
-    and its reductions.  A row's values do not depend on the other rows.
-    The best weak SINR of a kept row is maximize_gamma2_batch of its
-    reductions at the normalized target that derive_params gives, which
-    agrees with optimize_p1's gamma2_star to round-off.
+    A row's values do not depend on the other rows.  The winner is designed
+    from its row of g_eff and its sig_hat; the best weak SINR of a kept row
+    is maximize_gamma2_batch of its reductions at the normalized target
+    that derive_params gives, which agrees with optimize_p1's gamma2_star
+    to round-off.
     """
-    pending = [P * np.abs(_vdot_rows(w, H)) ** 2 for w in pending_w_hat]
-    g_eff = H - sum(np.outer(_vdot_rows(b, H), b) for b in basis)
+    g_eff = project_complement(H, basis)
     g_norm_sq = (g_eff.real**2 + g_eff.imag**2).sum(axis=1)
     lam1 = float(np.vdot(h1, h1).real) / sigma1_sq
     h1_n, g_n = pow2_normalized(h1), pow2_normalized(g_eff)
     den = float(np.vdot(h1_n, h1_n).real) * (g_n.real**2 + g_n.imag**2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows with g_eff = 0
-        theta = np.clip(np.abs(_vdot_rows(h1_n, g_n)) ** 2 / den, 0.0, 1.0)
+        theta = np.clip(np.abs(vdot_rows(h1_n, g_n)) ** 2 / den, 0.0, 1.0)
 
     def reduce(rows: np.ndarray, designed: list[np.ndarray]):
-        Hr, gr = H[rows], g_norm_sq[rows]
-        sig_hat = eps_sq[rows]  # a copy, summed in estimate_ici's order
-        for w in designed:
-            sig_hat += np.abs(_vdot_rows(w, Hr)) ** 2
-        for term in pending:
-            sig_hat += term[rows]
+        gr = g_norm_sq[rows]
+        sig_hat = estimate_ici(H[rows], eps_sq[rows], designed, pending_w_hat, P)
         ok = (gr > 0.0) & (gr / sig_hat <= lam1)
-        return ok, gr[ok] / sig_hat[ok], theta[rows[ok]]
+        return ok, gr[ok] / sig_hat[ok], theta[rows[ok]], sig_hat
 
-    return reduce
+    return g_eff, reduce
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,8 +399,9 @@ def schedule_targets(
         pending = w_hat[k + 1 :]
         eps1 = float(strong.eps_sq[k])  # zero-forced: strong user sees AWGN only
         lam1 = float(np.vdot(h_eff[k], h_eff[k]).real) / eps1
-        reduce = candidate_reductions(H, eps, h_eff[k], eps1, bases[k], pending, P)
-        oks, lam2s, thetas = zip(*(reduce(r, w1 + w2) for r, w1, w2 in zip(left, W1, W2)))
+        g_eff, reduce = candidate_reductions(H, eps, h_eff[k], eps1, bases[k], pending, P)
+        reductions = [reduce(r, w1 + w2) for r, w1, w2 in zip(left, W1, W2)]
+        oks, lam2s, thetas, sig_hats = zip(*reductions)
         counts = [len(lam2) for lam2 in lam2s]
         ends = np.cumsum(counts)
         lam2, theta = np.concatenate(lam2s), np.concatenate(thetas)
@@ -455,9 +434,8 @@ def schedule_targets(
                 r = left[t][j]
                 left[t] = np.delete(left[t], j)
                 weak_id = int(uid[r])
-                sig_hat = estimate_ici(H[r], eps[r], W1[t], W2[t], pending, P)
-                g_eff = project_complement(H[r], bases[k])
-                ch = TwoUserChannel(h_eff[k], g_eff, eps1, sig_hat, P)
+                sig_hat = float(sig_hats[t][j])  # the winner's row, as scored
+                ch = TwoUserChannel(h_eff[k], g_eff[r], eps1, sig_hat, P)
                 sol = optimize_p1(ch, derive_params(ch, Gamma * lam1))
                 w1, w2 = sol.w1_scaled, sol.w2_scaled
             plans[t].append(
@@ -533,15 +511,10 @@ def baseline_sus_zf(
     """
 
     def interval(selection: ZFSelection) -> float:
-        p = P_T / len(selection)
-        total = 0.0
-        for h, eps, w in zip(selection.H, selection.eps_sq.tolist(), selection.H_zf):
-            w_norm = float(np.linalg.norm(w))
-            if w_norm == 0.0:
-                continue
-            gain = abs(np.vdot(h, w / w_norm)) ** 2
-            total += log2_1p(p * gain / eps)
-        return total
+        # |<h, w/|w|>|^2 = |w|^2, as w = H_zf's row is h's own projection
+        p, w = P_T / len(selection), selection.H_zf
+        gains = (w.real**2 + w.imag**2).sum(axis=1).tolist()
+        return sum(log2_1p(p * g / eps) for g, eps in zip(gains, selection.eps_sq.tolist()))
 
     s_strong = interval(strong)
     s_weak = interval(zf_select(pool.weak_rows, cfg))

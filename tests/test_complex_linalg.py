@@ -9,6 +9,7 @@ from misonoma.complex_linalg import (
     BASIS_TOL,
     angle_theta,
     as_cvec,
+    as_rows,
     gram_schmidt,
     project_complement,
 )
@@ -97,8 +98,14 @@ def test_project_onto_in_span_and_orthogonal():
 
 def test_projection_dimension_mismatch():
     basis = gram_schmidt([[1.0, 0.0]])
-    with pytest.raises(ValueError):
-        project_complement([1.0, 0.0, 0.0], basis)
+    # a basis of another width, a 1-D or 3-D basis, and the same as nested lists
+    for bad in (basis, basis[0], basis[None], basis.tolist(), [1.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            project_complement([1.0, 0.0, 0.0], bad)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        project_complement(np.ones((4, 3)), basis)
+    # an array-like basis of the right width is accepted
+    np.testing.assert_array_equal(project_complement([1.0, 2.0], basis.tolist()), [0.0, 2.0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -200,6 +207,11 @@ def test_as_cvec_rejects_bad_inputs():
         as_cvec([1.0, complex(0.0, np.inf)])
     with pytest.raises(ValueError):
         as_cvec([])
+    # as_rows takes a vector or a stack, under the same entry checks
+    assert as_rows([1.0, 2j]).shape == as_rows([[1.0, 2j]]).shape == (1, 2)
+    for bad in (1.0, np.ones((2, 2, 2)), [[np.nan, 1.0]], np.ones((3, 0)), [[1.0], [1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            as_rows(bad)
 
 
 def test_empty_basis_identity_complement():

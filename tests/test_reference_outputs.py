@@ -12,14 +12,24 @@ A reference file is rewritten only on purpose, with the largest move per
 column reported next to the change:
 
     PYTHONPATH=src python3 tests/test_reference_outputs.py
+
+runs every case into a temporary directory, prints the largest move of
+each file's columns (beam keys, for a beam log) against the file it would
+replace, measured as the checks below measure them, and replaces the
+references only if no pairing, single-user flag or case tag changes (it
+writes nothing and exits 1 otherwise).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -161,12 +171,92 @@ def test_references_cover_the_edge_cases():
     assert {"underloaded_nt2", "underloaded_nt4", "single_user", "case_2", "case_3"} <= seen
 
 
+def _move(a: float, b: float, absolute: bool = False) -> float:
+    """The move that _close bounds by REL_TOL (or, if absolute, the rel_err
+    check by REL_TOL absolute): 0 for equal values or two NaNs, inf for a
+    NaN against a number."""
+    if math.isnan(a) or math.isnan(b):
+        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
+    if a == b:
+        return 0.0
+    return abs(a - b) if absolute else abs(a - b) / max(abs(a), abs(b))
+
+
+def _beam_move(got: list, want: list) -> float:
+    """The move that _beam_close bounds by REL_TOL: the largest entry
+    difference over the larger norm (0 for two zero vectors)."""
+    g, w = np.array(got), np.array(want)
+    scale = max(np.linalg.norm(g), np.linalg.norm(w))
+    diff = float(np.abs(g - w).max(initial=0.0))
+    return diff / scale if diff else 0.0
+
+
+def _csv_moves(got: Path, want: Path, problems: list[str]) -> dict[str, float]:
+    with open(got) as fg, open(want) as fw:
+        g_rows, w_rows = list(csv.reader(fg)), list(csv.reader(fw))
+    if [r[:1] for r in g_rows] != [r[:1] for r in w_rows] or g_rows[0] != w_rows[0]:
+        problems.append(f"{got.name}: header or rows change")
+        return {}
+    moves = dict.fromkeys(g_rows[0][1:], 0.0)
+    for g_row, w_row in zip(g_rows[1:], w_rows[1:]):
+        for col, a, b in zip(g_rows[0][1:], g_row[1:], w_row[1:]):
+            moves[col] = max(moves[col], _move(float(a), float(b), col == "rel_err"))
+    return moves
+
+
+def _beam_moves(got: Path, want: Path, problems: list[str]) -> dict[str, float]:
+    moves: dict[str, float] = {}
+    g_lines, w_lines = got.read_text().splitlines(), want.read_text().splitlines()
+    for g_line, w_line in zip(g_lines, w_lines):
+        g, w = json.loads(g_line), json.loads(w_line)
+        pairs = [[(c["strong_id"], c["weak_id"]) for c in d["clusters"]] for d in (g, w)]
+        if g["trial_id"] != w["trial_id"] or pairs[0] != pairs[1]:
+            problems.append(f"{got.name}: trial {w['trial_id']} changes its pairing")
+            continue
+        for gc, wc in zip(g["clusters"], w["clusters"]):
+            for key in (k for k in gc if k in wc and not k.endswith("_id")):
+                scalar = key.endswith("eps_sq")
+                move = _move(gc[key], wc[key]) if scalar else _beam_move(gc[key], wc[key])
+                moves[key] = max(moves.get(key, 0.0), move)
+    if len(g_lines) != len(w_lines):
+        problems.append(f"{got.name}: trials change")
+    return moves
+
+
+def regenerate() -> int:
+    """Rewrite tests/reference/ from this checkout, reporting every move;
+    returns 1, writing nothing, if a pairing, a single-user flag or a case
+    tag would change."""
+    problems: list[str] = []
+    tag_file = REF_DIR / "case_tags.json"
+    old_tags = json.loads(tag_file.read_text()) if tag_file.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp)
+        tags = {}
+        for name in CASES:
+            with contextlib.redirect_stdout(io.StringIO()):  # oracle-check's summary
+                case_tags = {str(t): v for t, v in run_case(name, out_dir).items()}
+            if "--dump-beams" in CASES[name]:
+                tags[name] = case_tags
+                if name in old_tags and old_tags[name] != case_tags:
+                    problems.append(f"{name}: case tags change")
+        for path in sorted(out_dir.iterdir()):
+            ref = REF_DIR / path.name
+            if not ref.exists():
+                print(f"{path.name}: new file")
+                continue
+            moves = (_beam_moves if path.suffix == ".jsonl" else _csv_moves)(path, ref, problems)
+            for key, move in moves.items():
+                print(f"{path.name:40} {key:24} {move:.2g}")
+        if problems:
+            print("\n".join(problems + ["nothing written"]), file=sys.stderr)
+            return 1
+        REF_DIR.mkdir(exist_ok=True)
+        for path in out_dir.iterdir():
+            shutil.copyfile(path, REF_DIR / path.name)
+    tag_file.write_text(json.dumps(tags, indent=1) + "\n")
+    return 0
+
+
 if __name__ == "__main__":
-    REF_DIR.mkdir(exist_ok=True)
-    all_tags = {}
-    for case in CASES:
-        case_tags = run_case(case, REF_DIR)
-        if "--dump-beams" in CASES[case]:
-            all_tags[case] = {str(t): v for t, v in case_tags.items()}
-    (REF_DIR / "case_tags.json").write_text(json.dumps(all_tags, indent=1) + "\n")
-    sys.exit(0)
+    sys.exit(regenerate())

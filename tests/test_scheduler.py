@@ -88,7 +88,8 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
     """The per-candidate scheduler, rebuilt from public functions: every
     remaining weak candidate gets the full scalar design and the strictly
     best gamma2_star wins.  Each cluster's skipped uids are returned next to
-    the uids that candidate_reductions drops in the same state."""
+    the uids that candidate_reductions drops in the same state and the
+    sig_hat it scores each remaining uid with."""
     sel_users = [pool.strong[i] for i in sus_select([u.h for u in pool.strong], cfg)]
     Kc = len(sel_users)
     P = P_T / Kc
@@ -106,7 +107,7 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
         lam1 = float(np.vdot(h_eff[k], h_eff[k]).real) / eps1
         best, skipped = None, set()
         for u in remaining:
-            sig_hat = estimate_ici(u.h, u.eps_sq, W1, W2, pending, P)
+            sig_hat = estimate_ici(u.h, u.eps_sq, W1 + W2, pending, P)
             g_eff = project_complement(u.h, bases[k])
             g_norm_sq = float(np.vdot(g_eff, g_eff).real)
             if g_norm_sq <= 0.0 or g_norm_sq / sig_hat > lam1:
@@ -116,7 +117,7 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
             sol = optimize_p1(ch, derive_params(ch, Gamma * lam1))
             if best is None or sol.gamma2_star > best[1].gamma2_star:
                 best = (u, sol, sig_hat)
-        ok, _, _ = candidate_reductions(
+        _, reduce = candidate_reductions(
             np.array([u.h for u in remaining]),
             np.array([u.eps_sq for u in remaining]),
             h_eff[k],
@@ -124,8 +125,15 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
             bases[k],
             pending,
             P,
-        )(np.arange(len(remaining)), W1 + W2)
-        skips.append((skipped, {u.uid for u, keep in zip(remaining, ok) if not keep}))
+        )
+        ok, _, _, scored_sig = reduce(np.arange(len(remaining)), W1 + W2)
+        skips.append(
+            (
+                skipped,
+                {u.uid for u, keep in zip(remaining, ok) if not keep},
+                dict(zip((u.uid for u in remaining), scored_sig.tolist())),
+            )
+        )
         if best is None:
             w1 = math.sqrt(P) * w_hat[k]
             w2, weak_id, sig_hat, sol = np.zeros_like(w1), None, None, None
@@ -308,12 +316,12 @@ class TestSusSelect:
 class TestEstimateIci:
     def test_no_other_clusters(self):
         g = np.array([1.0, 1j])
-        assert estimate_ici(g, 0.7, [], [], [], 5.0) == pytest.approx(0.7)
+        assert estimate_ici(g, 0.7, [], [], 5.0) == pytest.approx(0.7)
 
     def test_orthogonal_beams_contribute_nothing(self):
         g = np.array([1.0, 0.0])
         w = np.array([0.0, 1.0])
-        assert estimate_ici(g, 0.7, [w], [w], [w], 5.0) == pytest.approx(0.7)
+        assert estimate_ici(g, 0.7, [w, w], [w], 5.0) == pytest.approx(0.7)
 
     def test_hand_built_two_cluster_sum(self):
         g = np.array([1.0 + 1j, 0.5])
@@ -327,12 +335,38 @@ class TestEstimateIci:
             + P * abs(np.vdot(g, wh)) ** 2
             + 1.3
         )
-        got = estimate_ici(g, 1.3, [w1], [w2], [wh], P)
+        got = estimate_ici(g, 1.3, [w1, w2], [wh], P)
         assert got == pytest.approx(expect, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            estimate_ici([1.0, 0.0], 1.0, [[1.0, 0.0, 0.0]], [], [], 1.0)
+        # a length-1 beam would broadcast against Nt = 2 if it were let through
+        for g, eps in (([1.0, 0.0], 1.0), (np.ones((3, 2)), np.ones(3))):
+            for w in ([1.0, 0.0, 0.0], [1.0], np.ones((1, 2))):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    estimate_ici(g, eps, [w], [], 1.0)
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    estimate_ici(g, eps, [], [w], 1.0)
+
+    @pytest.mark.parametrize("n", [1, 5, 200])
+    def test_row_kernels_are_rowwise(self, n):
+        # project_complement and estimate_ici on an (n, Nt) stack equal,
+        # bitwise, the calls on each row as a one-row stack and as a vector
+        rng = np.random.default_rng(n)
+        for nt in (2, 4):
+            H = _cplx(rng, (n, nt), 0.3)
+            eps = rng.uniform(0.5, 2.0, n)
+            basis = gram_schmidt(_cplx(rng, (nt - 1, nt)))
+            beams = list(_cplx(rng, (3, nt)))
+            pending = [w / np.linalg.norm(w) for w in _cplx(rng, (2, nt))]
+            G = project_complement(H, basis)
+            sig = estimate_ici(H, eps, beams, pending, 2.5)
+            assert G.shape == (n, nt) and sig.shape == (n,)
+            for i in range(n):
+                assert project_complement(H[i : i + 1], basis).tobytes() == G[i].tobytes()
+                assert project_complement(H[i], basis).tobytes() == G[i].tobytes()
+                row = estimate_ici(H[i : i + 1], eps[i : i + 1], beams, pending, 2.5)
+                assert row.tobytes() == sig[i : i + 1].tobytes()
+                assert estimate_ici(H[i], eps[i], beams, pending, 2.5) == sig[i]
 
 
 class TestSchedule:
@@ -438,7 +472,7 @@ class TestSchedule:
         for kk, p in enumerate(out.clusters[1:], start=1):
             pend.append(p.h1_eff / np.linalg.norm(p.h1_eff))
         for u in pool.weak:
-            sig = estimate_ici(u.h, u.eps_sq, [], [], pend, out.P)
+            sig = estimate_ici(u.h, u.eps_sq, [], pend, out.P)
             g_eff = project_complement(u.h, basis) if basis is not None else u.h
             lam1 = float(np.vdot(plan.h1_eff, plan.h1_eff).real) / plan.sigma1_sq
             lam2 = float(np.vdot(g_eff, g_eff).real) / sig
@@ -522,14 +556,16 @@ class TestSchedule:
             assert [(p.strong_id, p.weak_id) for p in out.clusters] == [
                 (p.strong_id, p.weak_id) for p in ref.clusters
             ]
-            for scalar_skipped, batch_skipped in skips:
+            for scalar_skipped, batch_skipped, _ in skips:
                 assert batch_skipped == scalar_skipped
                 seen |= {"skip"} if scalar_skipped else set()
-            for got, want in zip(out.clusters, ref.clusters):
+            for got, want, (_, _, scored_sig) in zip(out.clusters, ref.clusters, skips):
                 assert got.single_user == want.single_user
                 assert got.w1_tilde.tobytes() == want.w1_tilde.tobytes()
                 assert got.w2_tilde.tobytes() == want.w2_tilde.tobytes()
                 assert got.sigma_hat_u_sq == want.sigma_hat_u_sq
+                if not got.single_user:  # designed from the row it was scored with
+                    assert got.sigma_hat_u_sq == scored_sig[got.weak_id]
                 seen |= {"single_user"} if want.single_user else set()
             assert out.realized_rates == realized_rates(ref, pool)
         assert covers <= seen
