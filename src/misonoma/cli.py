@@ -101,7 +101,7 @@ def cmd_angle_sweep(args) -> int:
         params = derive_params(ch, args.gamma * ch.lambda1)
         sol = optimize_p1(ch, params)
         simple = gamma2_simple_power(
-            ch.theta, params.lambda1, params.lambda2, params.Gamma, ch.P
+            params.theta, params.lambda1, params.lambda2, params.Gamma, ch.P
         )
         rows.append([float(th), sol.gamma2_star, simple.gamma2])
     write_csv(args.out, ["theta", "gamma2_optimal", "gamma2_simple"], rows)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -109,7 +109,8 @@ class TrialRecord:
     baseline_weak_rate: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v >= 0 for v in astuple(self)[1:]):
+        rates = [getattr(self, k) for k in RATE_FIELDS]
+        if not all(math.isfinite(v) and v >= 0 for v in rates):
             raise ValueError("rates must be finite and nonnegative")
 
 
@@ -172,7 +173,7 @@ def run_trial_sweep(cfg: SimConfig, trial_id: int, gammas: list[float]) -> list[
         check_target(g, cfg.p_total)
     rec, _, pool = run_trial(cfg, trial_id, gamma=gammas[0])
     strong = zf_select(pool.strong_rows, SUSConfig(target_count=cfg.nt, delta=cfg.delta))
-    baseline = astuple(rec)[-3:]  # the last three fields do not depend on the target
+    baseline = (rec.baseline_sum_rate, rec.baseline_strong_rate, rec.baseline_weak_rate)
     outs = schedule_targets(pool, strong, cfg.p_total, gammas[1:])
     return [rec] + [TrialRecord(trial_id, *_noma_rates(o), *baseline) for o in outs]
 

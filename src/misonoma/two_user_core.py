@@ -27,26 +27,29 @@ endpoint p1 = Gamma.  The search needs no grid: no p1 curve with more than
 one local maximum turned up in 10^5 edge-weighted draws scanned at 4096
 points each.
 
-Each formula is written once: check_target is the target interval
-0 <= Gamma <= P, check_qualities the positive channel qualities, _alpha1
-the minimal user-1 weight, _coeffs the inner coefficients at powers
+Each formula is written once: TwoUserChannel holds the reductions lambda1,
+lambda2 and theta, computed once per channel, check_target is the target
+interval 0 <= Gamma <= P, check_qualities the positive channel qualities,
+_alpha1 the minimal user-1 weight, _coeffs the inner coefficients at powers
 (p1, p2), select_case the three-case rule, _fixed_case that rule at fixed
-unit powers, and _max_over_p1 the one p1 search; _gamma2_vec is the array
-form of the rule, and _region_vec the array form of the region prediction
-and the case-3 p1, which classify_case, case3_closed_form_p1 and
-optimize_p1 evaluate at one instance.  The p1 search and the region rule
-read nothing of the channel but its power, so they take (params, P); only
-the functions that build beams take the channel.  maximize_gamma2_batch
-scores many instances by region, and runs maximize_gamma2_over_p1 one row
-at a time only where the closed form does not apply; gamma2_bounds
-brackets its result, with a closed-form cap over all of [Gamma, P], so
-that the scheduler can drop candidates before they are scored.
+unit powers, _max_over_p1 the one p1 search, and _build_solution the beams
+of every design, both users' directions from one normalized channel
+correlation; _gamma2_vec is the array form of the rule, and _region_vec the
+array form of the region prediction and the case-3 p1, which classify_case,
+case3_closed_form_p1 and optimize_p1 evaluate at one instance.  The p1
+search and the region rule read nothing of the channel but its power, so
+they take (params, P); only the functions that build beams take the
+channel.  maximize_gamma2_batch scores many instances by region, and runs
+maximize_gamma2_over_p1 one row at a time only where the closed form does
+not apply; gamma2_bounds brackets its result, with a closed-form cap over
+all of [Gamma, P], so that the scheduler can drop candidates before they
+are scored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -92,13 +95,15 @@ class OptRegion(Enum):
     OPT_IN_P3 = 3  # optimal p1 lies where case 3 holds
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwoUserChannel:
-    """Effective two-user channel with per-user noise(+interference) powers.
+    """Effective two-user channel with per-user noise(+interference) powers
+    and its reductions, computed once on construction: the qualities
+    lambda_i = ||h_i||^2/sigma_i^2 and theta = angle_theta(h1, h2).
 
-    Ordering ||h1||^2/sigma1_sq >= ||h2||^2/sigma2_sq (user 1 at least as
-    strong) is validated on construction; equality is admitted for
-    boundary studies with symmetric channel qualities.
+    The noise powers and P must be positive and finite.  Ordering lambda1 >=
+    lambda2 (user 1 at least as strong) is validated on construction;
+    equality is admitted for boundary studies with symmetric qualities.
     """
 
     h1: np.ndarray
@@ -106,35 +111,29 @@ class TwoUserChannel:
     sigma1_sq: float
     sigma2_sq: float
     P: float
+    lambda1: float = field(init=False)
+    lambda2: float = field(init=False)
+    theta: float = field(init=False)
 
     def __post_init__(self):
-        self.h1 = as_cvec(self.h1)
-        self.h2 = as_cvec(self.h2)
-        if self.h1.size != self.h2.size:
+        h1, h2 = as_cvec(self.h1), as_cvec(self.h2)
+        if h1.size != h2.size:
             raise ValueError("h1 and h2 must have the same length")
-        if self.sigma1_sq <= 0 or self.sigma2_sq <= 0:
-            raise ValueError("noise powers must be positive")
-        if self.P <= 0:
-            raise ValueError("cluster power P must be positive")
-        lam1, lam2 = self.lambda1, self.lambda2
+        for name in ("sigma1_sq", "sigma2_sq", "P"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        lam1 = float(np.vdot(h1, h1).real) / self.sigma1_sq
+        lam2 = float(np.vdot(h2, h2).real) / self.sigma2_sq
         if lam1 == 0.0 or lam2 == 0.0:
             raise ValueError("h1 and h2 must be nonzero")
         if lam1 < lam2 * (1.0 - 1e-9):
             raise ValueError(
                 "ordering violated: ||h1||^2/sigma1^2 must be >= ||h2||^2/sigma2^2"
             )
-
-    @property
-    def lambda1(self) -> float:
-        return float(np.vdot(self.h1, self.h1).real) / self.sigma1_sq
-
-    @property
-    def lambda2(self) -> float:
-        return float(np.vdot(self.h2, self.h2).real) / self.sigma2_sq
-
-    @property
-    def theta(self) -> float:
-        return angle_theta(self.h1, self.h2)
+        stored = dict(h1=h1, h2=h2, lambda1=lam1, lambda2=lam2, theta=angle_theta(h1, h2))
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
 
 
 def check_qualities(lambda1: float, lambda2: float) -> None:
@@ -199,9 +198,8 @@ def check_target(Gamma: float, P: float) -> float:
 def derive_params(ch: TwoUserChannel, gamma1_star: float) -> DerivedParams:
     """Scalar parameters for a channel and a user-1 SINR target, with the
     normalized target checked against the cluster power (check_target)."""
-    lam1 = ch.lambda1
-    Gamma = check_target(gamma1_star / lam1, ch.P)
-    return DerivedParams(lam1, ch.lambda2, ch.theta, Gamma)
+    Gamma = check_target(gamma1_star / ch.lambda1, ch.P)
+    return DerivedParams(ch.lambda1, ch.lambda2, ch.theta, Gamma)
 
 
 def _tau(lam1, lam2, th, G):
@@ -227,28 +225,6 @@ def _alpha1(theta: float, Gamma: float, p1: float) -> float:
     if ratio <= 1.0 - theta:
         return 0.0
     return math.sqrt(theta * ratio) - math.sqrt((1.0 - theta) * (1.0 - ratio))
-
-
-def alpha1_beta1(p1: float, params: DerivedParams) -> tuple[float, float]:
-    """(alpha1*, beta1*) meeting the user-1 constraint at power p1.
-
-    beta1 follows from the constraint; the on-circle branch uses the
-    algebraically equivalent form sqrt(1-theta)*t + sqrt(theta*(1-t^2))
-    with t = sqrt(Gamma/p1), which avoids catastrophic cancellation as
-    theta -> 1.
-    """
-    G, th = params.Gamma, params.theta
-    if p1 == 0.0:
-        return 0.0, 0.0
-    t2 = min(G / p1, 1.0)
-    t = math.sqrt(t2)
-    if th == 1.0:
-        return t, 0.0
-    if t2 <= 1.0 - th:
-        return 0.0, t / math.sqrt(1.0 - th)
-    # _alpha1 at ratio t^2 and unit power: alpha1*, without the p1 >= Gamma check
-    b1 = math.sqrt(1.0 - th) * t + math.sqrt(th * max(1.0 - t2, 0.0))
-    return _alpha1(th, t2, 1.0), b1
 
 
 def _coeffs(
@@ -496,31 +472,6 @@ class BeamSolution:
     r2: float
 
 
-def _direction_pair(x: np.ndarray, ref: np.ndarray, parallel_fallback: str):
-    """Unit directions of x parallel and orthogonal to ref.
-
-    Degenerate geometry: when the parallel component vanishes (orthogonal
-    channels) the fallback is either the zero vector or the ref direction
-    itself (needed for beam 2, which must leak energy onto the other
-    user's channel on purpose); a vanishing orthogonal component (aligned
-    channels) always degrades to the zero vector.
-    """
-    ref_unit = ref / np.linalg.norm(ref)
-    par = ref_unit * np.vdot(ref_unit, x)
-    perp = x - par
-    npar = float(np.linalg.norm(par))
-    nperp = float(np.linalg.norm(perp))
-    nx = float(np.linalg.norm(x))
-    if npar > DEGENERATE_DIR_TOL * nx:
-        u_par = par / npar
-    elif parallel_fallback == "ref":
-        u_par = ref_unit
-    else:
-        u_par = np.zeros_like(x)
-    u_perp = perp / nperp if nperp > DEGENERATE_DIR_TOL * nx else None
-    return u_par, u_perp
-
-
 def _build_solution(
     ch: TwoUserChannel,
     params: DerivedParams,
@@ -530,21 +481,45 @@ def _build_solution(
     tag: CaseTag,
     alpha2: float,
 ) -> BeamSolution:
-    a1, b1 = alpha1_beta1(p1, params)
-    u_par1, u_perp1 = _direction_pair(ch.h1, ch.h2, parallel_fallback="zero")
-    u_par2, u_perp2 = _direction_pair(ch.h2, ch.h1, parallel_fallback="ref")
+    """Beams at powers (p1, p2) with user 2's parallel weight alpha2.
 
-    if u_perp1 is None:
-        # aligned channels: pure power control along the common direction
-        a1, b1 = (math.sqrt(min(params.Gamma / p1, 1.0)) if p1 > 0 else 0.0), 0.0
-        w1 = a1 * u_par1
+    Both users' directions come from one correlation c = <h1^, h2^> of the
+    unit channels: the parallel parts h2^ conj(c)/|c| and h1^ c/|c|, and
+    the normalized orthogonal parts h1^ - h2^ conj(c) and h2^ - h1^ c.  For
+    orthogonal channels (|c| <= DEGENERATE_DIR_TOL) user 1 has no parallel
+    part and user 2's is h1^: beam 2 leaks onto user 1's channel on purpose.
+    Aligned channels (an orthogonal part below that tolerance) get pure
+    power control: (alpha1, beta1, alpha2) = (t, 0, 1) with
+    t = sqrt(min(Gamma/p1, 1)).  Otherwise alpha1 is _alpha1's and beta1
+    meets the target: t/sqrt(1-theta) off the unit circle, 0 at theta = 1,
+    else sqrt(1-theta)*t + sqrt(theta*(1-t^2)), free of cancellation as
+    theta -> 1.
+    """
+    u1 = ch.h1 / np.linalg.norm(ch.h1)
+    u2 = ch.h2 / np.linalg.norm(ch.h2)
+    c = complex(np.vdot(u1, u2))
+    perp1, perp2 = u1 - u2 * c.conjugate(), u2 - u1 * c
+    n1, n2 = float(np.linalg.norm(perp1)), float(np.linalg.norm(perp2))
+    if abs(c) > DEGENERATE_DIR_TOL:
+        par1, par2 = u2 * (c.conjugate() / abs(c)), u1 * (c / abs(c))
     else:
-        w1 = a1 * u_par1 + b1 * u_perp1
-    if u_perp2 is None:
-        alpha2 = 1.0
-        w2 = u_par2
+        par1, par2 = np.zeros_like(u1), u1
+    G, th = params.Gamma, params.theta
+    t2 = min(G / p1, 1.0) if p1 > 0.0 else 0.0
+    t = math.sqrt(t2)
+    if min(n1, n2) <= DEGENERATE_DIR_TOL:
+        a1, b1, alpha2 = t, 0.0, 1.0
+        w1, w2 = a1 * par1, par2
     else:
-        w2 = alpha2 * u_par2 + math.sqrt(max(1.0 - alpha2**2, 0.0)) * u_perp2
+        a1 = _alpha1(th, G, p1)
+        if th == 1.0:
+            b1 = 0.0
+        elif t2 <= 1.0 - th:
+            b1 = t / math.sqrt(1.0 - th)
+        else:
+            b1 = math.sqrt(1.0 - th) * t + math.sqrt(th * (1.0 - t2))
+        w1 = a1 * par1 + b1 * (perp1 / n1)
+        w2 = alpha2 * par2 + math.sqrt(max(1.0 - alpha2**2, 0.0)) * (perp2 / n2)
 
     w1s = math.sqrt(max(p1, 0.0)) * w1
     w2s = math.sqrt(max(p2, 0.0)) * w2
@@ -661,10 +636,9 @@ def pareto_boundary(ch: TwoUserChannel, n_points: int) -> list[tuple[float, floa
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    lam1 = ch.lambda1
     rows = []
     for G in np.linspace(0.0, ch.P, n_points):
-        params = derive_params(ch, float(G) * lam1)
+        params = derive_params(ch, float(G) * ch.lambda1)
         r2_power = log2_1p(optimize_p1(ch, params).gamma2_star)
         try:
             r2_fixed = log2_1p(fixed_power_design(ch, params).gamma2_star)

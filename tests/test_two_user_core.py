@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misonoma import two_user_core
+from misonoma.complex_linalg import angle_theta
 from misonoma.golden import golden_section_max, vector_golden_section_max
 from misonoma.oracle import sample_instance
 from misonoma.two_user_core import (
@@ -157,6 +159,22 @@ class TestDerivedParams:
         for h1, h2 in (([0.0, 0.0], [0.0, 0.0]), ([1.0, 0.0], [0.0, 0.0])):
             with pytest.raises(ValueError, match="nonzero"):
                 TwoUserChannel(h1, h2, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["sigma1_sq", "sigma2_sq", "P"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_noise_or_power_rejected(self, name, value):
+        args = dict(h1=[2.0, 0.0], h2=[0.5, 0.5], sigma1_sq=1.0, sigma2_sq=2.0, P=2.0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            TwoUserChannel(**args)
+
+    def test_reductions_stored_on_construction(self):
+        h1, h2 = np.array([3.0, 1j]), np.array([1.0 - 1j, 0.5])
+        ch = TwoUserChannel(h1, h2, 2.0, 0.5, 4.0)
+        assert ch.lambda1 == 10.0 / 2.0 and ch.lambda2 == 2.25 / 0.5
+        assert ch.theta == angle_theta(h1, h2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ch.P = 5.0
 
     @pytest.mark.parametrize(
         "lam1, lam2, name",
@@ -666,6 +684,53 @@ class TestOptimizeP1:
         g0 = optimize_p1(ch, params).gamma2_star
         g1 = optimize_p1(ch_rot, params_rot).gamma2_star
         assert g1 == pytest.approx(g0, abs=1e-9, rel=1e-9)
+
+
+def _complex_pair(rng, theta):
+    """A random complex channel pair: the canonical pair's geometry at
+    squared correlation theta with random phases, or h2 = z*h1 exactly for
+    theta = "aligned", rotated by a random unitary of C^Nt (Nt in 2..4),
+    at random noise powers and cluster power."""
+    nt = int(rng.integers(2, 5))
+    Q, _ = np.linalg.qr(rng.normal(size=(nt, nt)) + 1j * rng.normal(size=(nt, nt)))
+    s1, s2 = (float(s) for s in rng.uniform(0.5, 2.0, size=2))
+    lam1 = float(rng.uniform(1.0, 100.0))
+    lam2 = lam1 * float(rng.uniform(1e-3, 1.0))
+    ph = np.exp(2j * np.pi * rng.uniform(size=3))
+    h1 = math.sqrt(lam1 * s1) * ph[0] * Q[:, 0]
+    if theta == "aligned":
+        h2 = complex(math.sqrt(lam2 * s2 / (lam1 * s1)) * ph[1]) * h1
+    else:
+        th = float(rng.uniform()) if theta == "random" else theta
+        e2 = math.sqrt(th) * Q[:, 0] + ph[2] * math.sqrt(1.0 - th) * Q[:, 1]
+        h2 = math.sqrt(lam2 * s2) * ph[1] * e2
+    return TwoUserChannel(h1, h2, s1, s2, float(rng.uniform(0.5, 20.0)))
+
+
+COMPLEX_THETAS = (0.0, 1e-30, 1e-20, 1e-13, 1e-9, "random", 1.0 - 1e-9, 1.0 - 1e-16, 1.0, "aligned")
+
+
+class TestComplexPairs:
+    @pytest.mark.parametrize("theta", COMPLEX_THETAS)
+    def test_beams_realize_the_design(self, theta):
+        """On rotated complex pairs, the power-allocated and the fixed-power
+        beams spend their powers and realize gamma1* for user 1 and
+        gamma2_star for user 2, to 1e-6 relative."""
+        rng = np.random.default_rng(70 + COMPLEX_THETAS.index(theta))
+        for _ in range(10):
+            ch = _complex_pair(rng, theta)
+            G, G_fixed = ch.P * rng.uniform(0.05, 0.95), min(ch.P, 1.0) * rng.uniform(0.05, 0.95)
+            for design, Gamma in ((optimize_p1, G), (fixed_power_design, G_fixed)):
+                params = derive_params(ch, Gamma * ch.lambda1)
+                sol = design(ch, params)
+                w1, w2 = sol.w1_scaled, sol.w2_scaled
+                assert np.linalg.norm(w1) ** 2 <= sol.p1 * (1.0 + 1e-6)
+                assert np.linalg.norm(w2) ** 2 == pytest.approx(sol.p2, rel=1e-6)
+                s1, r1 = abs(np.vdot(ch.h1, w1)) ** 2, abs(np.vdot(ch.h1, w2)) ** 2
+                s2, r2 = abs(np.vdot(ch.h2, w2)) ** 2, abs(np.vdot(ch.h2, w1)) ** 2
+                assert s1 / ch.sigma1_sq == pytest.approx(params.gamma1_star, rel=1e-6)
+                gamma2 = min(r1 / (s1 + ch.sigma1_sq), s2 / (r2 + ch.sigma2_sq))
+                assert gamma2 == pytest.approx(sol.gamma2_star, rel=1e-6), (theta, ch.theta)
 
 
 class TestCase3ClosedForm:
