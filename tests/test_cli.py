@@ -263,6 +263,21 @@ def test_bad_flag_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["angle-sweep", "pareto-boundary"])
+def test_channel_ordering_and_power_rejected(tmp_path, capsys, command):
+    # user 1 must be the stronger one and the cluster power positive: both
+    # exit 2 with a message that says which check failed
+    out = tmp_path / "x.csv"
+    for flags, message in (
+        (["--lambda1", "1", "--lambda2", "2"], "ordering violated"),
+        (["--p-cluster", "0"], "P must be positive"),
+        (["--p-cluster", "-1"], "P must be positive"),
+    ):
+        assert main([command, *flags, "--out", str(out)]) == 2, flags
+        assert message in capsys.readouterr().err, flags
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
