@@ -3,9 +3,10 @@
 Everything here works on the scalar reduction (lambda1, lambda2, theta,
 Gamma): the fixed-power SINR as a function of the channel angle theta, the
 region of angles maximizing it, the closed-form SINR under the simple
-minimum-power-to-user-1 allocation, and the asymptotic behaviour when the
-weak user's channel quality goes to zero (both beams converge to matched
-filters).
+minimum-power-to-user-1 allocation, the sweep of the optimal and the simple
+SINR over the angle (by value, without beams), and the asymptotic
+behaviour when the weak user's channel quality goes to zero (both beams
+converge to matched filters).
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from .two_user_core import (
     CaseTag,
     _fixed_case,
     channel_from_quality,
-    check_qualities,
+    check_ordered,
+    check_positive,
     check_target,
     derive_params,
+    maximize_gamma2_batch,
     optimize_p1,
 )
 
@@ -88,10 +91,9 @@ def optimal_theta_region(
     multi-peaked curve turned up in 3,000 such draws scanned at 4096
     angles each).
     """
-    check_qualities(lambda1, lambda2)
+    check_positive(lambda1=lambda1, lambda2=lambda2)
     Gamma = check_target(Gamma, 1.0)
-    if lambda1 < lambda2:
-        raise ValueError("requires lambda1 >= lambda2")
+    check_ordered(lambda1, lambda2)
     l1i, l2i = 1.0 / lambda1, 1.0 / lambda2
     z1 = l1i + 1.0 - Gamma
     z2 = l2i + 1.0 - Gamma
@@ -113,22 +115,12 @@ def optimal_theta_region(
             theta0 = t0_lin
         else:
             theta0 = (z1 * z2 + 2.0 * gg - rad) / den
-        return ThetaRegionResult(
-            gamma_bounds=(g1, g2),
-            theta_opt_low=theta0,
-            theta_opt_high=upper,
-            branch=ThetaBand.IN_BAND,
-        )
+        return ThetaRegionResult((g1, g2), theta0, upper, ThetaBand.IN_BAND)
 
     if Gamma <= (l2i - l1i) / (1.0 + l2i):
         lo = (lambda2 / lambda1) * (1.0 + Gamma * lambda1)
         hi = 1.0 - Gamma
-        return ThetaRegionResult(
-            gamma_bounds=(g1, g2),
-            theta_opt_low=lo,
-            theta_opt_high=hi,
-            branch=ThetaBand.LOW_OUT_OF_BAND,
-        )
+        return ThetaRegionResult((g1, g2), lo, hi, ThetaBand.LOW_OUT_OF_BAND)
 
     # stationary angle of the crossing branch between the plateau edge
     # theta_I = 1-Gamma and the case-2/3 boundary theta_a
@@ -141,12 +133,7 @@ def optimal_theta_region(
         hi,
         xtol=1e-10,
     )
-    return ThetaRegionResult(
-        gamma_bounds=(g1, g2),
-        theta_opt_low=th_star,
-        theta_opt_high=th_star,
-        branch=ThetaBand.HIGH_OUT_OF_BAND,
-    )
+    return ThetaRegionResult((g1, g2), th_star, th_star, ThetaBand.HIGH_OUT_OF_BAND)
 
 
 def _solve_case_boundary(lambda1: float, lambda2: float, Gamma: float) -> float:
@@ -189,7 +176,7 @@ def gamma2_simple_power(
     lambda2/lambda1, the leading factor (P - Gamma)/(Gamma (1 + y)) tends
     to P*lambda1, and the weak user's own branch to P*lambda2.
     """
-    check_qualities(lambda1, lambda2)
+    check_positive(lambda1=lambda1, lambda2=lambda2)
     Gamma = check_target(Gamma, P)
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
@@ -214,6 +201,25 @@ def gamma2_simple_power(
         br = 1.0 + theta / (1.0 - theta) * (math.sqrt(ratio) - 1.0) ** 2
         gamma2 = full / br
     return SimplePowerResult(gamma2, theta1, PowerBranch.BELOW_THETA1)
+
+
+def angle_sweep(
+    lambda1: float, lambda2: float, Gamma: float, P: float, n_points: int
+) -> list[tuple[float, float, float]]:
+    """Rows (theta, gamma2_optimal, gamma2_simple) on n_points angles over
+    [0, 1], by value: the optimal design's SINR at every angle from one
+    maximize_gamma2_batch call, the simple rule's from gamma2_simple_power,
+    and no channel or beams.  The arguments are checked as a channel and
+    derive_params would check them."""
+    check_positive(lambda1=lambda1, lambda2=lambda2, P=P)
+    check_ordered(lambda1, lambda2)
+    Gamma = check_target(Gamma, P)
+    thetas = np.linspace(0.0, 1.0, n_points)
+    optimal = maximize_gamma2_batch(lambda1, np.full(n_points, lambda2), thetas, Gamma, P)
+    return [
+        (th, opt, gamma2_simple_power(th, lambda1, lambda2, Gamma, P).gamma2)
+        for th, opt in zip(thetas.tolist(), optimal.tolist())
+    ]
 
 
 def matched_filter_limit_check(

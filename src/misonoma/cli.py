@@ -1,7 +1,9 @@
 """Command-line harness emitting CSV data for the standard experiments.
 
 Subcommands: pareto-boundary, angle-sweep, gamma-sweep, schedule-sim,
-oracle-check.  All floats are printed with 13 significant digits and LF
+oracle-check.  angle-sweep is computed by value (angle_analysis.angle_sweep:
+no channel and no beams); pareto-boundary designs beams at every point.
+All floats are printed with 13 significant digits and LF
 line endings, so outputs are byte-identical across runs for a fixed
 configuration and seed.  Exit codes: 0 success, 2 invalid arguments,
 3 infeasible configuration.
@@ -18,7 +20,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from .angle_analysis import gamma2_simple_power
+from .angle_analysis import angle_sweep
 from .oracle import brute_force_max, sample_instance
 from .simulation import (
     RATE_FIELDS,
@@ -31,7 +33,6 @@ from .two_user_core import (
     InfeasibleTargetError,
     channel_from_quality,
     check_target,
-    derive_params,
     optimize_p1,
     pareto_boundary,
 )
@@ -94,16 +95,9 @@ def cmd_pareto_boundary(args) -> int:
 
 
 def cmd_angle_sweep(args) -> int:
-    """Weak-user SINR versus channel angle: optimal versus simple power."""
-    rows = []
-    for th in np.linspace(0.0, 1.0, args.points):
-        ch = channel_from_quality(args.lambda1, args.lambda2, float(th), args.p_cluster)
-        params = derive_params(ch, args.gamma * ch.lambda1)
-        sol = optimize_p1(ch, params)
-        simple = gamma2_simple_power(
-            params.theta, params.lambda1, params.lambda2, params.Gamma, ch.P
-        )
-        rows.append([float(th), sol.gamma2_star, simple.gamma2])
+    """Weak-user SINR versus channel angle: optimal versus simple power
+    (angle_analysis.angle_sweep's rows)."""
+    rows = angle_sweep(args.lambda1, args.lambda2, args.gamma, args.p_cluster, args.points)
     write_csv(args.out, ["theta", "gamma2_optimal", "gamma2_simple"], rows)
     return EXIT_OK
 
@@ -179,43 +173,17 @@ def cmd_oracle_check(args) -> int:
     """Random-instance comparison of the design against the grid oracle."""
     rng = np.random.default_rng(args.seed if args.seed is not None else 2024)
     rows = []
-    worst = 0.0
     for i in range(args.instances):
         ch, params = sample_instance(rng)
-        sol = optimize_p1(ch, params)
-        res = brute_force_max(ch, params, args.n_p1, args.n_alpha2)
-        denom = max(res.gamma2, sol.gamma2_star, 1e-30)
-        rel = abs(res.gamma2 - sol.gamma2_star) / denom
-        worst = max(worst, rel)
-        rows.append(
-            [
-                i,
-                params.lambda1,
-                params.lambda2,
-                params.theta,
-                ch.P,
-                params.Gamma,
-                sol.gamma2_star,
-                res.gamma2,
-                rel,
-            ]
-        )
+        design = optimize_p1(ch, params).gamma2_star
+        ref = brute_force_max(ch, params, args.n_p1, args.n_alpha2).gamma2
+        rel = abs(ref - design) / max(ref, design, 1e-30)
+        prm = (params.lambda1, params.lambda2, params.theta, ch.P, params.Gamma)
+        rows.append([i, *prm, design, ref, rel])
     if args.out:
-        write_csv(
-            args.out,
-            [
-                "instance",
-                "lambda1",
-                "lambda2",
-                "theta",
-                "P",
-                "Gamma",
-                "gamma2_design",
-                "gamma2_oracle",
-                "rel_err",
-            ],
-            rows,
-        )
+        header = "instance lambda1 lambda2 theta P Gamma gamma2_design gamma2_oracle rel_err"
+        write_csv(args.out, header.split(), rows)
+    worst = max(row[-1] for row in rows)
     print(f"checked {args.instances} instances, worst relative error {worst:.3e}")
     return EXIT_OK
 

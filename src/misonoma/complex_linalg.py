@@ -119,8 +119,11 @@ def angle_theta(h1, h2) -> float:
     vectors are first scaled by powers of two (pow2_normalized), so that
     squared norms of about 1e-300 or 1e+300 neither underflow nor overflow.
     """
-    h1 = as_cvec(h1)
-    h2 = as_cvec(h2)
+    return squared_correlation(as_cvec(h1), as_cvec(h2))
+
+
+def squared_correlation(h1: np.ndarray, h2: np.ndarray) -> float:
+    """angle_theta of two vectors that as_cvec has already validated."""
     n1 = float(np.vdot(h1, h1).real)
     n2 = float(np.vdot(h2, h2).real)
     lo, hi = _NORM_RANGE

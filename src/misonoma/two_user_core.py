@@ -29,7 +29,8 @@ points each.
 
 Each formula is written once: TwoUserChannel holds the reductions lambda1,
 lambda2 and theta, computed once per channel, check_target is the target
-interval 0 <= Gamma <= P, check_qualities the positive channel qualities,
+interval 0 <= Gamma <= P, check_positive the positive and finite
+qualities, noise powers and P, check_ordered the ordering lambda1 >= lambda2,
 _alpha1 the minimal user-1 weight, _coeffs the inner coefficients at powers
 (p1, p2), select_case the three-case rule, _fixed_case that rule at fixed
 unit powers, _max_over_p1 the one p1 search, and _build_solution the beams
@@ -41,9 +42,11 @@ search and the region rule read nothing of the channel but its power, so
 they take (params, P); only the functions that build beams take the
 channel.  maximize_gamma2_batch scores many instances by region, and runs
 maximize_gamma2_over_p1 one row at a time only where the closed form does
-not apply; gamma2_bounds brackets its result, with a closed-form cap over
-all of [Gamma, P], so that the scheduler can drop candidates before they
-are scored.
+not apply; the scheduler scores its weak candidates with it, and
+angle_analysis.angle_sweep every angle of a sweep in one call.
+gamma2_bounds brackets its result, with a closed-form cap over all of
+[Gamma, P], so that the scheduler can drop candidates before they are
+scored.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from enum import Enum
 
 import numpy as np
 
-from .complex_linalg import angle_theta, as_cvec
+from .complex_linalg import as_cvec, squared_correlation
 from .golden import golden_section_max
 
 # Resolution of the p1 search over [Gamma, P].
@@ -101,9 +104,8 @@ class TwoUserChannel:
     and its reductions, computed once on construction: the qualities
     lambda_i = ||h_i||^2/sigma_i^2 and theta = angle_theta(h1, h2).
 
-    The noise powers and P must be positive and finite.  Ordering lambda1 >=
-    lambda2 (user 1 at least as strong) is validated on construction;
-    equality is admitted for boundary studies with symmetric qualities.
+    The noise powers and P must be positive and finite (check_positive) and
+    user 1 at least as strong as user 2 (check_ordered).
     """
 
     h1: np.ndarray
@@ -119,29 +121,31 @@ class TwoUserChannel:
         h1, h2 = as_cvec(self.h1), as_cvec(self.h2)
         if h1.size != h2.size:
             raise ValueError("h1 and h2 must have the same length")
-        for name in ("sigma1_sq", "sigma2_sq", "P"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        check_positive(sigma1_sq=self.sigma1_sq, sigma2_sq=self.sigma2_sq, P=self.P)
         lam1 = float(np.vdot(h1, h1).real) / self.sigma1_sq
         lam2 = float(np.vdot(h2, h2).real) / self.sigma2_sq
         if lam1 == 0.0 or lam2 == 0.0:
             raise ValueError("h1 and h2 must be nonzero")
-        if lam1 < lam2 * (1.0 - 1e-9):
-            raise ValueError(
-                "ordering violated: ||h1||^2/sigma1^2 must be >= ||h2||^2/sigma2^2"
-            )
-        stored = dict(h1=h1, h2=h2, lambda1=lam1, lambda2=lam2, theta=angle_theta(h1, h2))
+        check_ordered(lam1, lam2)
+        stored = dict(h1=h1, h2=h2, lambda1=lam1, lambda2=lam2, theta=squared_correlation(h1, h2))
         for name, value in stored.items():
             object.__setattr__(self, name, value)
 
 
-def check_qualities(lambda1: float, lambda2: float) -> None:
-    """Raise ValueError, naming the bad one, unless both channel qualities
-    are positive (NaN fails too)."""
-    for name, value in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
+def check_positive(**values: float) -> None:
+    """Raise ValueError, naming the first bad one, unless every value is
+    positive and finite (NaN fails too)."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_ordered(lambda1: float, lambda2: float) -> None:
+    """Raise ValueError unless user 1 is at least as strong as user 2,
+    lambda1 >= lambda2 with a relative slack of 1e-9; equality is admitted
+    for boundary studies with symmetric qualities."""
+    if lambda1 < lambda2 * (1.0 - 1e-9):
+        raise ValueError(f"ordering violated: lambda1={lambda1:.6g} < lambda2={lambda2:.6g}")
 
 
 def channel_from_quality(
@@ -153,7 +157,7 @@ def channel_from_quality(
     h1 points along e1 with ||h1||^2 = lambda1; h2 lies in the e1/e2 plane
     at squared correlation theta to h1.
     """
-    check_qualities(lambda1, lambda2)
+    check_positive(lambda1=lambda1, lambda2=lambda2)
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     h1 = np.array([math.sqrt(lambda1), 0.0], dtype=np.complex128)
@@ -609,13 +613,13 @@ def _fixed_case(
 ) -> tuple[float, CaseTag, float]:
     """select_case at fixed unit powers p1 = p2 = 1: (gamma2, tag, alpha2*).
 
-    Requires theta in [0, 1], positive qualities (check_qualities) and
+    Requires theta in [0, 1], positive and finite qualities (check_positive) and
     Gamma in [0, 1] (check_target with bound 1: unit power caps the
     reachable user-1 SINR at lambda1).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    check_qualities(lambda1, lambda2)
+    check_positive(lambda1=lambda1, lambda2=lambda2)
     G = check_target(Gamma, 1.0)
     return select_case(*_coeffs(lambda1, lambda2, theta, G, 1.0, 1.0), theta)
 

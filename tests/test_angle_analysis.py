@@ -9,6 +9,7 @@ from misonoma.angle_analysis import (
     ThetaBand,
     _beam_angle,
     _solve_case_boundary,
+    angle_sweep,
     gamma2_fixed_vs_theta,
     gamma2_simple_power,
     optimal_theta_region,
@@ -283,6 +284,70 @@ class TestSimplePower:
             ch.theta, params.lambda1, params.lambda2, params.Gamma, ch.P
         ).gamma2
         assert abs(opt - simple) / opt <= 0.05
+
+
+def _sweep_draws(rng, n):
+    """Edge-weighted angle-sweep arguments (lambda1, lambda2, Gamma, P,
+    points): lambda2/lambda1 equal to 1, 1e-6 or log-uniform in between,
+    Gamma at 0, at P or uniform on [0, P], 1, 2 or 201 angles, and P below
+    or above 2; 54 draws give every combination of the four."""
+    for k in range(n):
+        lam1 = float(np.exp(rng.uniform(0.0, math.log(100.0))))
+        ratio = (1.0, 1e-6, float(np.exp(rng.uniform(math.log(1e-6), 0.0))))[k % 3]
+        P = float(rng.uniform(0.5, 2.0) if k % 2 else rng.uniform(2.0, 20.0))
+        G = (0.0, P, float(rng.uniform(0.0, P)))[k // 3 % 3]
+        yield lam1, lam1 * ratio, G, P, (1, 2, 201)[k // 9 % 3]
+
+
+def _per_point_row(lam1, lam2, G, P, theta):
+    """The sweep's row at one angle through a channel and its beams, as
+    the angle sweep computed it before it worked by value; also the
+    target that derive_params checked and clamped."""
+    ch = channel_from_quality(lam1, lam2, theta, P)
+    params = derive_params(ch, G * ch.lambda1)
+    simple = gamma2_simple_power(params.theta, params.lambda1, params.lambda2, params.Gamma, P)
+    return optimize_p1(ch, params).gamma2_star, simple.gamma2, params.Gamma
+
+
+class TestAngleSweep:
+    def test_matches_per_point_design(self):
+        for lam1, lam2, G, P, n in _sweep_draws(np.random.default_rng(21), 54):
+            rows = angle_sweep(lam1, lam2, G, P, n)
+            assert [r[0] for r in rows] == np.linspace(0.0, 1.0, n).tolist()
+            for theta, *got in rows:
+                *want, G_ref = _per_point_row(lam1, lam2, G, P, theta)
+                for g, w in zip(got, want):
+                    if G == P and G_ref < P:
+                        # G*lambda1/lambda1 rounded an ulp below P: the
+                        # reference gives the weak user that ulp of power
+                        assert g == 0.0 and 0.0 <= w <= (P - G_ref) * lam2 * (1.0 + 1e-9)
+                    else:  # exact where both are 0
+                        assert g == pytest.approx(w, rel=1e-12, abs=0.0), (lam1, lam2, G, P)
+
+    @pytest.mark.parametrize(
+        "lam1, lam2, G, P",
+        [
+            (0.0, 0.0, 1.0, 2.0), (-1.0, -2.0, 1.0, 2.0), (1.0, 0.0, 1.0, 2.0),
+            (math.inf, 1.0, 1.0, 2.0), (math.nan, 1.0, 1.0, 2.0),
+            (1.0, 2.0, 1.0, 2.0), (1.0 - 1e-10, 1.0, 1.0, 2.0), (1.0, 1.0, 1.0, 2.0),
+            (4.0, 1.0, 1.0, 0.0), (4.0, 1.0, 1.0, -1.0), (4.0, 1.0, 1.0, math.nan),
+            (4.0, 1.0, 1.0, math.inf), (4.0, 1.0, -1.0, 2.0), (4.0, 1.0, 2.5, 2.0),
+            (4.0, 1.0, math.nan, 2.0), (4.0, 1.0, 2.0, 2.0), (4.0, 1.0, 0.0, 2.0),
+        ],
+    )
+    def test_rejects_what_the_channel_path_rejects(self, lam1, lam2, G, P):
+        # the same exception class, or none, on both paths
+        outcomes = []
+        for sweep in (
+            lambda: angle_sweep(lam1, lam2, G, P, 3),
+            lambda: [_per_point_row(lam1, lam2, G, P, th) for th in (0.0, 0.5, 1.0)],
+        ):
+            try:
+                sweep()
+                outcomes.append(None)
+            except ValueError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestMatchedFilterLimit:

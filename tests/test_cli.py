@@ -283,6 +283,7 @@ def test_channel_ordering_and_power_rejected(tmp_path, capsys, command):
     [
         ["pareto-boundary", "--lambda1", "1e-300", "--lambda2", "1e-300", "--points", "3"],
         ["angle-sweep", "--lambda1", "1e200", "--lambda2", "1e200"],
+        ["angle-sweep", "--lambda1", "1e-300", "--lambda2", "1e-300"],
     ],
 )
 def test_extreme_channel_qualities(tmp_path, argv):

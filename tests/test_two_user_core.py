@@ -186,7 +186,7 @@ class TestDerivedParams:
     def test_nonpositive_quality_rejected(self, lam1, lam2, name):
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             channel_from_quality(lam1, lam2, 0.5, 2.0)
-        # the fixed-power rule checks them too (check_qualities)
+        # the fixed-power rule checks them too (check_positive)
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             _fixed_case(0.5, lam1, lam2, 0.5)
 
