@@ -3,10 +3,10 @@
 Everything here works on the scalar reduction (lambda1, lambda2, theta,
 Gamma): the fixed-power SINR as a function of the channel angle theta, the
 region of angles maximizing it, the closed-form SINR under the simple
-minimum-power-to-user-1 allocation, the sweep of the optimal and the simple
-SINR over the angle (by value, without beams), and the asymptotic
-behaviour when the weak user's channel quality goes to zero (both beams
-converge to matched filters).
+minimum-power-to-user-1 allocation, the optimal and the simple SINR swept
+over the angle by value, and the asymptotic behaviour when the weak
+user's channel quality goes to zero (both beams converge to matched
+filters).
 """
 
 from __future__ import annotations
@@ -115,12 +115,22 @@ def optimal_theta_region(
             theta0 = t0_lin
         else:
             theta0 = (z1 * z2 + 2.0 * gg - rad) / den
-        return ThetaRegionResult((g1, g2), theta0, upper, ThetaBand.IN_BAND)
+        return ThetaRegionResult(
+            gamma_bounds=(g1, g2),
+            theta_opt_low=theta0,
+            theta_opt_high=upper,
+            branch=ThetaBand.IN_BAND,
+        )
 
     if Gamma <= (l2i - l1i) / (1.0 + l2i):
         lo = (lambda2 / lambda1) * (1.0 + Gamma * lambda1)
         hi = 1.0 - Gamma
-        return ThetaRegionResult((g1, g2), lo, hi, ThetaBand.LOW_OUT_OF_BAND)
+        return ThetaRegionResult(
+            gamma_bounds=(g1, g2),
+            theta_opt_low=lo,
+            theta_opt_high=hi,
+            branch=ThetaBand.LOW_OUT_OF_BAND,
+        )
 
     # stationary angle of the crossing branch between the plateau edge
     # theta_I = 1-Gamma and the case-2/3 boundary theta_a
@@ -133,7 +143,12 @@ def optimal_theta_region(
         hi,
         xtol=1e-10,
     )
-    return ThetaRegionResult((g1, g2), th_star, th_star, ThetaBand.HIGH_OUT_OF_BAND)
+    return ThetaRegionResult(
+        gamma_bounds=(g1, g2),
+        theta_opt_low=th_star,
+        theta_opt_high=th_star,
+        branch=ThetaBand.HIGH_OUT_OF_BAND,
+    )
 
 
 def _solve_case_boundary(lambda1: float, lambda2: float, Gamma: float) -> float:

@@ -141,9 +141,8 @@ def check_positive(**values: float) -> None:
 
 
 def check_ordered(lambda1: float, lambda2: float) -> None:
-    """Raise ValueError unless user 1 is at least as strong as user 2,
-    lambda1 >= lambda2 with a relative slack of 1e-9; equality is admitted
-    for boundary studies with symmetric qualities."""
+    """Raise ValueError unless lambda1 >= lambda2 (user 1 at least as
+    strong, equal qualities admitted) up to a relative slack of 1e-9."""
     if lambda1 < lambda2 * (1.0 - 1e-9):
         raise ValueError(f"ordering violated: lambda1={lambda1:.6g} < lambda2={lambda2:.6g}")
 
