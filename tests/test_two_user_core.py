@@ -181,6 +181,7 @@ class TestDerivedParams:
         [
             (0.0, 0.0, "lambda1"), (-1.0, -2.0, "lambda1"), (math.nan, 1.0, "lambda1"),
             (20.0, 0.0, "lambda2"), (20.0, -2.0, "lambda2"), (20.0, math.nan, "lambda2"),
+            (math.inf, 1.0, "lambda1"), (20.0, math.inf, "lambda2"),
         ],
     )
     def test_nonpositive_quality_rejected(self, lam1, lam2, name):
