@@ -300,9 +300,9 @@ def _sweep_draws(rng, n):
 
 
 def _per_point_row(lam1, lam2, G, P, theta):
-    """The sweep's row at one angle through a channel and its beams, as
-    the angle sweep computed it before it worked by value; also the
-    target that derive_params checked and clamped."""
+    """The per-point reference for one angle: a channel, derive_params and
+    an optimize_p1 beam design, plus the simple rule on the channel's
+    reductions; also the target that derive_params checked and clamped."""
     ch = channel_from_quality(lam1, lam2, theta, P)
     params = derive_params(ch, G * ch.lambda1)
     simple = gamma2_simple_power(params.theta, params.lambda1, params.lambda2, params.Gamma, P)
