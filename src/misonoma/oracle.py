@@ -7,10 +7,10 @@ The search runs directly on the raw min-objective
              / sqrt(p1*||h2||^2*alpha1^2 + sigma2^2) }
 
 over a (p1, alpha2) grid.  The minimal feasible alpha1 for each p1 is
-recovered by sampling the user-1 constraint segment inside the unit
-quarter-disk and bisecting the disk-membership boundary; none of the
-closed-form design solutions are consulted anywhere, so this module
-independently validates them.  Because the inner objective has a kink
+recovered by bisecting the disk-membership boundary of the user-1
+constraint segment, on a bracket where the disk violation is monotone;
+none of the closed-form design solutions are consulted anywhere, so this
+module independently validates them.  Because the inner objective has a kink
 where the two branches cross, a golden-section polish follows the grid in
 both coordinates; without it, grid discretization alone can miss the peak
 by more than the comparison tolerances used in the tests.
@@ -32,12 +32,10 @@ from .two_user_core import (
     derive_params,
 )
 
-ALPHA1_SAMPLES = 1024
-_FRACS = np.linspace(0.0, 1.0, ALPHA1_SAMPLES)  # sample positions from 0 to the anchor
 BISECTION_STEPS = 60
 _FEAS_TOL = 1e-12
-# Grid rows evaluated per block: the grid scans are elementwise and
-# row-wise, so blocking bounds the temporaries without changing a value.
+# Grid rows evaluated per block: the (p1, alpha2) grid scan is elementwise
+# and row-wise, so blocking bounds the temporaries without changing a value.
 GRID_BLOCK_ROWS = 128
 
 
@@ -61,45 +59,38 @@ def _min_feasible_alpha1(t: np.ndarray, theta: float) -> np.ndarray:
     """Minimal alpha1 >= 0 with some beta1 >= 0 on the constraint segment
     sqrt(theta)*alpha1 + sqrt(1-theta)*beta1 = t inside the unit disk.
 
-    The on-segment point closest to the origin is (sqrt(theta)*t,
-    sqrt(1-theta)*t), always feasible for t <= 1; disk violation decreases
-    monotonically from alpha1 = 0 to that anchor, so a sample scan plus
-    bisection pins the feasibility boundary.
+    On the segment the disk violation is v(a) = a^2 + (t - sqrt(theta)*a)^2
+    / (1-theta) - 1, with v'(a) = 2*(a - sqrt(theta)*t)/(1-theta) <= 0 on
+    [0, sqrt(theta)*t] and v(sqrt(theta)*t) = t^2 - 1 <= 0 (the point
+    closest to the origin, with beta1 = sqrt(1-theta)*t >= 0).  So alpha1 is
+    0 where v(0) is within tolerance, and otherwise the boundary is bisected
+    on that bracket, v falling from above the tolerance to below it.
     """
     t = np.asarray(t, dtype=float)
     if theta == 1.0:
         return t.copy()
     sq_th = math.sqrt(theta)
     one_m = 1.0 - theta
-    anchor = sq_th * t
-    first = np.empty(t.size, dtype=np.intp)  # first feasible sample per row
-    for s in range(0, t.size, GRID_BLOCK_ROWS):
-        blk = slice(s, s + GRID_BLOCK_ROWS)
-        alpha = anchor[blk, None] * _FRACS[None, :]
-        first[blk] = np.argmax(_violation(t[blk, None], alpha, sq_th, one_m) <= _FEAS_TOL, axis=1)
-    lo = anchor * _FRACS[np.maximum(first - 1, 0)]
-    hi = anchor * _FRACS[first]
+    lo = np.zeros_like(t)
+    hi = sq_th * t
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         ok = _violation(t, mid, sq_th, one_m) <= _FEAS_TOL
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid)
-    return np.where(first == 0, 0.0, hi)
+    return np.where(_violation(t, 0.0, sq_th, one_m) <= _FEAS_TOL, 0.0, hi)
 
 
 def _min_feasible_alpha1_scalar(t: float, theta: float) -> float:
-    """_min_feasible_alpha1 at one t, bitwise: the same sample scan as one
-    array expression, then the same bisection on floats, which costs far
-    less than numpy on one-element arrays."""
+    """_min_feasible_alpha1 at one t, bitwise: the same bisection on
+    floats, which costs far less than numpy on one-element arrays."""
     if theta == 1.0:
         return t
     sq_th = math.sqrt(theta)
     one_m = 1.0 - theta
-    alpha = (sq_th * t) * _FRACS
-    first = int(np.argmax(_violation(t, alpha, sq_th, one_m) <= _FEAS_TOL))
-    if first == 0:
+    if _violation(t, 0.0, sq_th, one_m) <= _FEAS_TOL:
         return 0.0
-    lo, hi = float(alpha[first - 1]), float(alpha[first])
+    lo, hi = 0.0, sq_th * t
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if _violation(t, mid, sq_th, one_m) <= _FEAS_TOL:

@@ -101,8 +101,8 @@ def test_scalar_alpha1_is_the_array_path_bitwise():
 
 # sha256 of repr((gamma2, p1, alpha2, alpha1, grid_sizes)) over the first
 # eight instances of the acceptance battery (seed 20240809, 2048 x 2048),
-# as the oracle computed them with the p1 polish on one-element arrays
-BATTERY_HEAD_DIGEST = "51d0a67c71d25b2a7e25314aed4ad4a44f1589f28dc35628219ac5667766eb2e"
+# as the oracle computes them with alpha1 bisected on [0, sqrt(theta)*t]
+BATTERY_HEAD_DIGEST = "47a1826fdb2e112203c52a252358b17cdca89a9a0e33776c756a836a9e1feb33"
 
 
 def test_battery_head_digest_unchanged():
