@@ -6,6 +6,7 @@ import pytest
 
 from misonoma.golden import golden_section_max, vector_golden_section_max
 from misonoma.oracle import (
+    _FEAS_TOL,
     _min_feasible_alpha1,
     _min_feasible_alpha1_scalar,
     brute_force_max,
@@ -97,6 +98,32 @@ def test_scalar_alpha1_is_the_array_path_bitwise():
         for t, w in zip(ts, want.tolist()):
             got = _min_feasible_alpha1_scalar(t, theta)
             assert type(got) is float and got == w, (t, theta)
+
+
+def test_min_feasible_alpha1_is_feasible_and_minimal():
+    # whatever the search: the returned alpha1 lies on the constraint segment
+    # inside the disk with beta1 >= 0, it is 0 exactly when alpha1 = 0 is
+    # feasible, and MARGIN below it the disk violation exceeds the tolerance
+    MARGIN = 1e-9
+    rng = np.random.default_rng(61)
+    ts = np.array([0.0, 1.0, *rng.uniform(0.0, 1.0, 20)])
+    for theta in (0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0):
+        got = _min_feasible_alpha1(ts, theta)
+        if theta == 1.0:  # the segment is alpha1 = t
+            assert np.array_equal(got, ts)
+            continue
+        s = math.sqrt(theta)
+
+        def v(t, a):  # rounded as the oracle rounds it: v(0) can sit at the tolerance
+            beta = t - s * a
+            return a * a + beta * beta / (1.0 - theta) - 1.0
+
+        for t, a in zip(ts.tolist(), got.tolist()):
+            assert v(t, a) <= _FEAS_TOL and t - s * a >= 0.0, (t, theta, a)
+            if v(t, 0.0) <= _FEAS_TOL:
+                assert a == 0.0, (t, theta, a)
+            else:
+                assert a > 0.0 and v(t, max(a - MARGIN, 0.0)) > _FEAS_TOL, (t, theta, a)
 
 
 # sha256 of repr((gamma2, p1, alpha2, alpha1, grid_sizes)) over the first
