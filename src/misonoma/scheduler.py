@@ -57,6 +57,7 @@ from .complex_linalg import (
 from .two_user_core import (
     BeamSolution,
     TwoUserChannel,
+    check_positive,
     check_target,
     derive_params,
     gamma2_bounds,
@@ -83,8 +84,7 @@ class User:
 
     def __post_init__(self):
         object.__setattr__(self, "h", as_cvec(self.h))
-        if self.eps_sq <= 0:
-            raise ValueError("AWGN power must be positive")
+        check_positive(eps_sq=self.eps_sq)
 
 
 @dataclass(frozen=True, eq=False)

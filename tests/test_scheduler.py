@@ -224,6 +224,8 @@ class TestUserPool:
         for bad in (
             lambda: User(0, [1.0, math.inf], 1.0),
             lambda: User(0, [1.0, 0.0], 0.0),
+            lambda: User(0, [1.0, 0.0], math.nan),
+            lambda: User(0, [1.0, 0.0], math.inf),
             lambda: UserPool.from_users(
                 [User(0, [1.0, 0.0], 1.0), User(1, [1.0], 1.0)], [User(2, [0.1, 0.0], 1.0)]
             ),
