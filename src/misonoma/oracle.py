@@ -10,8 +10,8 @@ over a (p1, alpha2) grid.  The minimal feasible alpha1 for each p1 is
 recovered by bisecting the disk-membership boundary of the user-1
 constraint segment, on a bracket where the disk violation is monotone;
 none of the closed-form design solutions are consulted anywhere, so this
-module independently validates them.  Because the inner objective has a kink
-where the two branches cross, a golden-section polish follows the grid in
+module independently validates them.  Because the inner objective has a
+kink where the two branches cross, a golden-section polish follows the grid in
 both coordinates; without it, grid discretization alone can miss the peak
 by more than the comparison tolerances used in the tests.
 """
@@ -59,12 +59,16 @@ def _min_feasible_alpha1(t: np.ndarray, theta: float) -> np.ndarray:
     """Minimal alpha1 >= 0 with some beta1 >= 0 on the constraint segment
     sqrt(theta)*alpha1 + sqrt(1-theta)*beta1 = t inside the unit disk.
 
-    On the segment the disk violation is v(a) = a^2 + (t - sqrt(theta)*a)^2
-    / (1-theta) - 1, with v'(a) = 2*(a - sqrt(theta)*t)/(1-theta) <= 0 on
-    [0, sqrt(theta)*t] and v(sqrt(theta)*t) = t^2 - 1 <= 0 (the point
-    closest to the origin, with beta1 = sqrt(1-theta)*t >= 0).  So alpha1 is
-    0 where v(0) is within tolerance, and otherwise the boundary is bisected
-    on that bracket, v falling from above the tolerance to below it.
+    On the segment the disk violation is
+
+        v(a) = a^2 + (t - sqrt(theta)*a)^2/(1-theta) - 1,
+
+    whose derivative 2*(a - sqrt(theta)*t)/(1-theta) is <= 0 on
+    [0, sqrt(theta)*t], and v(sqrt(theta)*t) = t^2 - 1 <= 0 at the
+    segment's point closest to the origin (beta1 = sqrt(1-theta)*t >= 0).
+    So alpha1 is 0 where v(0) is within the tolerance, and otherwise the
+    boundary is bisected on that bracket.  At theta = 1 the segment is
+    alpha1 = t.
     """
     t = np.asarray(t, dtype=float)
     if theta == 1.0:
