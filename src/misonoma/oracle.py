@@ -167,10 +167,12 @@ def brute_force_max(
         a1 = _min_feasible_alpha1_scalar(math.sqrt(min(G / p, 1.0)) if p > 0 else 0.0, th)
         r = math.sqrt(max(P - p, 0.0))
         dd = math.sqrt(p * k2sq * a1 * a1 + ch.sigma2_sq)
+        # the products r*c1 and r*||h2||/dd once per probe, left to right
+        rc1, rk2 = r * c1, r * math.sqrt(k2sq) / dd
 
         def val(al: float) -> float:
             sh = sq_th * al + sq_mth * math.sqrt(max(1.0 - al * al, 0.0))
-            return min(r * c1 * al, r * math.sqrt(k2sq) / dd * sh)
+            return min(rc1 * al, rk2 * sh)
 
         return a1, val
 

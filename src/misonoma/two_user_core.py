@@ -422,6 +422,96 @@ def maximize_gamma2_over_p1(params: DerivedParams, P: float) -> tuple[float, flo
     return _max_over_p1(lambda p: gamma2_of_p1(p, params, P)[0], params.Gamma, P)
 
 
+def _case2_slope(lam1, lam2, th, G, P):
+    """A function of s = sqrt(p1 - Gamma), on arrays, with the sign of the
+    derivative in s of case 2's SINR, the branch crossing (a*alpha2)^2.
+
+    On 0 <= s <= sqrt(Gamma*theta/(1-theta)) user 1's parallel weight gives
+    p1*alpha1^2 = q^2 with q = sqrt(theta*Gamma) - sqrt(1-theta)*s, so with
+    A = lambda1/(1 + Gamma*lambda1) and u = sqrt(A*(1 + lambda2*q^2)) the
+    crossing is
+
+        F(s) = (P - Gamma - s^2)*A*lambda2*(1-theta) / D,
+        D    = (u - sqrt(lambda2*theta))^2 + lambda2*(1-theta),
+
+    smooth in s, and dF/ds = 2*F/((P - Gamma - s^2)*D) times the returned
+
+        (P - Gamma - s^2)*(1 - sqrt(lambda2*theta)/u)*A*lambda2*sqrt(1-theta)*q - s*D,
+
+    formed without u^2 or q^2 times P, so that it stays finite at large P.
+    The arguments are scalars or arrays that broadcast together.
+    """
+    rt_1th = np.sqrt(1.0 - th)
+    rt_tG = np.sqrt(th * G)
+    A = lam1 / (1.0 + G * lam1)
+    v = np.sqrt(lam2 * th)
+    k = A * lam2 * rt_1th
+    c2 = lam2 * (1.0 - th)
+
+    def h(s):
+        q = np.maximum(rt_tG - rt_1th * s, 0.0)
+        u = np.sqrt(A * (1.0 + lam2 * q * q))
+        return (P - G - s * s) * (1.0 - v / u) * k * q - s * ((u - v) ** 2 + c2)
+
+    return h
+
+
+# The case-2 root-find stops once its bracket in s is narrower than S_RTOL
+# times the bracket it started from.  The bisection safeguard halves the
+# bracket at least every fourth step, so no row needs more than about
+# 4*log2(1/S_RTOL) = 173 steps; _MAX_STEPS only bounds the loop.
+S_RTOL = 1e-13
+_MAX_STEPS = 180
+
+
+def _case2_bracket(lam1, lam2, th, G, P):
+    """Bracket [lo, hi] in s = sqrt(p1 - Gamma) of the maximum of case 2's
+    SINR on 0 <= s <= S, S = sqrt(min(P - Gamma, Gamma*theta/(1-theta))),
+    row by row.
+
+    Above p1 = Gamma/(1-theta) user 1's parallel weight is 0, so the SINR
+    falls linearly in p1; at theta = 0 or Gamma = 0, S is 0 and the bracket
+    is the point p1 = Gamma.  Where the slope (_case2_slope) is positive at
+    s = 0 and negative at S, its root is found by Illinois regula falsi
+    (Dowell and Jarratt, BIT 1971): the end that holds twice in a row has
+    its slope halved.  A step lands at least S_RTOL*S/2 inside the bracket,
+    so that an end which has converged from one side is passed by the next
+    step, as in Brent's zeroin; a step that follows three steps which did
+    not halve the bracket, or whose slope ratio is NaN, bisects instead.
+    Each row stops once its bracket is narrower than S_RTOL*S or its slope
+    is 0 (or NaN) at the step; its arrays are then left as they are, so a
+    row's result does not depend on the other rows.  Rows whose slope does
+    not change sign keep [0, S], whose ends the caller evaluates.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        S = np.sqrt(np.minimum(P - G, np.where(th < 1.0, th * G / (1.0 - th), np.inf)))
+        h = _case2_slope(lam1, lam2, th, G, P)
+        lo, hi = np.zeros_like(S), S
+        h_lo, h_hi = h(lo), h(hi)
+        go = (h_lo > 0.0) & (h_hi < 0.0)
+        tol = S_RTOL * S
+        kept = np.zeros_like(S)  # +1: lo moved last, -1: hi moved last
+        widths = [np.full_like(S, np.inf)] * 3  # the last three brackets
+        for _ in range(_MAX_STEPS):
+            w = hi - lo
+            go &= w > tol
+            if not go.any():
+                break
+            x = lo + w * (h_lo / (h_lo - h_hi))
+            x = np.minimum(np.maximum(x, lo + 0.5 * tol), hi - 0.5 * tol)
+            x = np.where((w > 0.5 * widths[0]) | np.isnan(x), lo + 0.5 * w, x)
+            widths = widths[1:] + [w]
+            hx = h(x)
+            up, down = go & (hx > 0.0), go & (hx < 0.0)
+            stop = go & ~up & ~down
+            h_hi = np.where(up & (kept > 0.0), 0.5 * h_hi, h_hi)
+            h_lo = np.where(down & (kept < 0.0), 0.5 * h_lo, h_lo)
+            lo, h_lo = np.where(up | stop, x, lo), np.where(up, hx, h_lo)
+            hi, h_hi = np.where(down | stop, x, hi), np.where(down, hx, h_hi)
+            kept = np.where(up, 1.0, np.where(down, -1.0, kept))
+    return lo, hi
+
+
 def maximize_gamma2_batch(
     lam1: float, lam2: np.ndarray, theta: np.ndarray, Gamma, P: float
 ) -> np.ndarray:
@@ -433,11 +523,13 @@ def maximize_gamma2_batch(
     Each row is solved by region (_region_vec).  A row predicted case 3
     (every row with theta = 1 is) takes the SINR at its case-3 optimum p1
     (p1 = Gamma at theta = 1).  The rows predicted case 2 (every row with
-    theta = 0 is) and the rows whose closed form is not finite run
-    maximize_gamma2_over_p1, one row at a time.  Either value is taken as
-    the max with the array form's value at p1 = Gamma, so gamma2_bounds'
-    lower bound holds.  Where the search stops P1_XTOL short of the
-    optimum, the closed form can lie above it.
+    theta = 0 is) and the rows whose closed form is not finite are solved
+    together: _case2_bracket brackets the maximum of case 2's SINR in
+    s = sqrt(p1 - Gamma), and the row takes the larger of the three-case
+    SINR at the bracket's two ends.  Either value is taken as the max with
+    the array form's value at p1 = Gamma, so gamma2_bounds' lower bound
+    holds.  Every step is elementwise, so a row's value does not depend on
+    the other rows of the call.
     """
     ends = np.zeros(lam2.shape) + Gamma
     case2, p1 = _region_vec(lam1, lam2, theta, ends, P)
@@ -445,10 +537,12 @@ def maximize_gamma2_batch(
     with np.errstate(divide="ignore", invalid="ignore"):
         f = _gamma2_vec(lam1, lam2, theta, ends, P)
         best = np.maximum(f(np.where(search, ends, p1)), f(ends))
-    lam1, P = float(lam1), float(P)
-    for i in np.flatnonzero(search).tolist():
-        prm = DerivedParams(lam1, float(lam2[i]), float(theta[i]), float(ends[i]))
-        best[i] = max(maximize_gamma2_over_p1(prm, P)[1], best[i])
+        if search.any():
+            i = np.flatnonzero(search)
+            args = lam1, lam2[i], theta[i], ends[i], P
+            lo, hi = _case2_bracket(*args)
+            f = _gamma2_vec(*args)
+            best[i] = np.maximum(np.maximum(f(ends[i] + lo * lo), f(ends[i] + hi * hi)), best[i])
     return best
 
 
