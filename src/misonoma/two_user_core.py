@@ -21,11 +21,15 @@ rule (classify_case) predicts which case holds at the optimum.  Where it
 predicts case 3, the optimum p1 is known in closed form
 (case3_closed_form_p1), p1 = Gamma when the channels are aligned, and the
 endpoint p1 = Gamma is kept if it is strictly better.  Only where it
-predicts case 2 (or the closed form is not finite) is p1 searched
-numerically, by one golden section over the whole of [Gamma, P] plus the
-endpoint p1 = Gamma.  The search needs no grid: no p1 curve with more than
-one local maximum turned up in 10^5 edge-weighted draws scanned at 4096
-points each.
+predicts case 2 (or the closed form is not finite) is p1 found
+numerically.  A single design (optimize_p1) runs one golden section over
+the whole of [Gamma, P] plus the endpoint p1 = Gamma; the search needs no
+grid: no p1 curve with more than one local maximum turned up in 10^5
+edge-weighted draws scanned at 4096 points each.  A batch
+(maximize_gamma2_batch) solves all of its case-2 rows at once instead, by a
+safeguarded root-find of the case-2 SINR's slope in s = sqrt(p1 - Gamma)
+(_case2_argmax), where the SINR is smooth and its maximum lies in
+0 <= s <= sqrt(min(P - Gamma, Gamma*theta/(1-theta))).
 
 Each formula is written once: TwoUserChannel holds the reductions lambda1,
 lambda2 and theta, computed once per channel, check_target is the target
@@ -33,17 +37,18 @@ interval 0 <= Gamma <= P, check_positive the positive and finite
 qualities, noise powers and P, check_ordered the ordering lambda1 >= lambda2,
 _alpha1 the minimal user-1 weight, _coeffs the inner coefficients at powers
 (p1, p2), select_case the three-case rule, _fixed_case that rule at fixed
-unit powers, _max_over_p1 the one p1 search, and _build_solution the beams
-of every design, both users' directions from one normalized channel
-correlation; _gamma2_vec is the array form of the rule, and _region_vec the
+unit powers, _max_over_p1 the one scalar p1 search, and _build_solution the
+beams of every design, both users' directions from one normalized channel
+correlation; _gamma2_vec is the array form of the rule, _case2_slope the
+slope of its case-2 branch in s, and _region_vec the
 array form of the region prediction and the case-3 p1, which classify_case,
 case3_closed_form_p1 and optimize_p1 evaluate at one instance.  The p1
 search and the region rule read nothing of the channel but its power, so
 they take (params, P); only the functions that build beams take the
-channel.  maximize_gamma2_batch scores many instances by region, and runs
-maximize_gamma2_over_p1 one row at a time only where the closed form does
-not apply; the scheduler scores its weak candidates with it, and
-angle_analysis.angle_sweep every angle of a sweep in one call.
+channel.  maximize_gamma2_batch scores many instances by region, and
+solves the rows where the closed form does not apply together, in arrays,
+with no loop over rows; the scheduler scores its weak candidates with it,
+and angle_analysis.angle_sweep every angle of a sweep in one call.
 gamma2_bounds brackets its result, with a closed-form cap over all of
 [Gamma, P], so that the scheduler can drop candidates before they are
 scored.
@@ -464,30 +469,31 @@ S_RTOL = 1e-13
 _MAX_STEPS = 180
 
 
-def _case2_bracket(lam1, lam2, th, G, P):
-    """Bracket [lo, hi] in s = sqrt(p1 - Gamma) of the maximum of case 2's
-    SINR on 0 <= s <= S, S = sqrt(min(P - Gamma, Gamma*theta/(1-theta))),
-    row by row.
+def _case2_argmax(lam1, lam2, th, G, P):
+    """The maximizer in s = sqrt(p1 - Gamma) of case 2's SINR on
+    0 <= s <= S, S = sqrt(min(P - Gamma, Gamma*theta/(1-theta))), row by
+    row, to within S_RTOL*S.
 
     Above p1 = Gamma/(1-theta) user 1's parallel weight is 0, so the SINR
-    falls linearly in p1; at theta = 0 or Gamma = 0, S is 0 and the bracket
-    is the point p1 = Gamma.  Where the slope (_case2_slope) is positive at
-    s = 0 and negative at S, its root is found by Illinois regula falsi
-    (Dowell and Jarratt, BIT 1971): the end that holds twice in a row has
-    its slope halved.  A step lands at least S_RTOL*S/2 inside the bracket,
-    so that an end which has converged from one side is passed by the next
-    step, as in Brent's zeroin; a step that follows three steps which did
-    not halve the bracket, or whose slope ratio is NaN, bisects instead.
-    Each row stops once its bracket is narrower than S_RTOL*S or its slope
-    is 0 (or NaN) at the step; its arrays are then left as they are, so a
-    row's result does not depend on the other rows.  Rows whose slope does
-    not change sign keep [0, S], whose ends the caller evaluates.
+    falls linearly in p1; at theta = 0 or Gamma = 0, S is 0 and s is 0.
+    Where the slope (_case2_slope) is not positive at s = 0, s is 0; where
+    it is positive at both ends, s is S.  Otherwise its root is bracketed
+    by Illinois regula falsi (Dowell and Jarratt, BIT 1971): the end that
+    holds twice in a row has its slope halved.  A step lands at least
+    S_RTOL*S/2 inside the bracket, so that an end which has converged from
+    one side is passed by the next step, as in Brent's zeroin; a step that
+    follows three steps which did not halve the bracket, or whose slope
+    ratio is NaN, bisects instead.  Each row stops once its bracket is
+    narrower than S_RTOL*S or its slope is 0 (or NaN) at the step, and
+    returns the bracket's upper end; its arrays are then left as they are,
+    so a row's result does not depend on the other rows.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         S = np.sqrt(np.minimum(P - G, np.where(th < 1.0, th * G / (1.0 - th), np.inf)))
         h = _case2_slope(lam1, lam2, th, G, P)
-        lo, hi = np.zeros_like(S), S
-        h_lo, h_hi = h(lo), h(hi)
+        lo = np.zeros_like(S)
+        h_lo, h_hi = h(lo), h(S)
+        hi = np.where(h_lo > 0.0, S, 0.0)
         go = (h_lo > 0.0) & (h_hi < 0.0)
         tol = S_RTOL * S
         kept = np.zeros_like(S)  # +1: lo moved last, -1: hi moved last
@@ -509,7 +515,7 @@ def _case2_bracket(lam1, lam2, th, G, P):
             lo, h_lo = np.where(up | stop, x, lo), np.where(up, hx, h_lo)
             hi, h_hi = np.where(down | stop, x, hi), np.where(down, hx, h_hi)
             kept = np.where(up, 1.0, np.where(down, -1.0, kept))
-    return lo, hi
+    return hi
 
 
 def maximize_gamma2_batch(
@@ -524,9 +530,9 @@ def maximize_gamma2_batch(
     (every row with theta = 1 is) takes the SINR at its case-3 optimum p1
     (p1 = Gamma at theta = 1).  The rows predicted case 2 (every row with
     theta = 0 is) and the rows whose closed form is not finite are solved
-    together: _case2_bracket brackets the maximum of case 2's SINR in
-    s = sqrt(p1 - Gamma), and the row takes the larger of the three-case
-    SINR at the bracket's two ends.  Either value is taken as the max with
+    together: _case2_argmax finds the maximizer s of case 2's SINR in
+    s = sqrt(p1 - Gamma), and the row takes the three-case SINR at
+    p1 = Gamma + s^2.  Either value is taken as the max with
     the array form's value at p1 = Gamma, so gamma2_bounds' lower bound
     holds.  Every step is elementwise, so a row's value does not depend on
     the other rows of the call.
@@ -540,9 +546,8 @@ def maximize_gamma2_batch(
         if search.any():
             i = np.flatnonzero(search)
             args = lam1, lam2[i], theta[i], ends[i], P
-            lo, hi = _case2_bracket(*args)
-            f = _gamma2_vec(*args)
-            best[i] = np.maximum(np.maximum(f(ends[i] + lo * lo), f(ends[i] + hi * hi)), best[i])
+            s = _case2_argmax(*args)
+            best[i] = np.maximum(_gamma2_vec(*args)(ends[i] + s * s), best[i])
     return best
 
 

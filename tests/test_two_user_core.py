@@ -393,10 +393,10 @@ class TestGamma2OfP1:
             np.testing.assert_allclose(batch, scalar, rtol=1e-12, atol=1e-15)
 
     def test_batch_with_per_row_targets_matches_one_call_per_target(self):
-        # rows of several targets in one call, Gamma per row: each searched
-        # row runs the scalar search on its own, so the stacked call equals
-        # one call per target bitwise; targets at 0, P, just below P and
-        # duplicated
+        # rows of several targets in one call, Gamma per row: the case-2
+        # rows are solved elementwise, each frozen once it converges, so the
+        # stacked call equals one call per target bitwise; targets at 0, P,
+        # just below P and duplicated
         rng = np.random.default_rng(29)
         lam1, P = 12.0, 3.0
         gammas = [0.4 * P, 0.0, P, P - 1e-11, 0.9 * P, 0.4 * P]
@@ -590,7 +590,8 @@ class TestRegionSolve:
         for lam1, lam2, theta, G, P in _edge_draws(np.random.default_rng(43), groups=30):
             for th, g in ((np.ones_like(theta), G), (np.zeros_like(theta), G), (theta, 0.0)):
                 got = maximize_gamma2_batch(lam1, lam2, th, g, P)
-                assert got.tobytes() == _gamma2_at(np.full(lam2.shape, g), lam1, lam2, th, g, P).tobytes()
+                want = _gamma2_at(np.full(lam2.shape, g), lam1, lam2, th, g, P)
+                assert got.tobytes() == want.tobytes()
                 _, p1 = _region_vec(lam1, lam2, th, g, P)
                 assert (p1 == g).all()
 
