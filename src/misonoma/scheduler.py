@@ -29,7 +29,8 @@ The paper's region rule (two_user_core._region_vec) predicts each row's
 case at the optimum: a row predicted case 3 takes the SINR at its
 closed-form p1 (the case-3 stationary point, p1 = Gamma at theta = 1);
 only rows predicted case 2 (theta = 0 always is) and rows whose closed
-form is not finite run the scalar p1 search, one row at a time.  Several
+form is not finite are solved numerically, all of them together by the
+batch's root-find in s = sqrt(p1 - Gamma).  Several
 targets run in lockstep, cluster by cluster: each keeps its own pairing
 state, and one call scores the candidates of all of them, with Gamma given
 per row.
