@@ -267,13 +267,13 @@ def candidate_reductions(
     H: np.ndarray,
     eps_sq: np.ndarray,
     h1: np.ndarray,
-    sigma1_sq: float,
+    lam1: float,
     basis: np.ndarray,
     pending_w_hat: list[np.ndarray],
     P: float,
 ):
     """Scalar reductions of weak candidates H (rows) paired with strong
-    channel h1 in one cluster: (g_eff, reduce).
+    channel h1, of quality lam1, in one cluster: (g_eff, reduce).
 
     The parts that do not depend on the pairing state are computed here,
     once per cluster, over every row of H: g_eff, the rows projected off the
@@ -292,7 +292,6 @@ def candidate_reductions(
     """
     g_eff = project_complement(H, basis)
     g_norm_sq = (g_eff.real**2 + g_eff.imag**2).sum(axis=1)
-    lam1 = float(np.vdot(h1, h1).real) / sigma1_sq
     h1_n, g_n = pow2_normalized(h1), pow2_normalized(g_eff)
     den = float(np.vdot(h1_n, h1_n).real) * (g_n.real**2 + g_n.imag**2).sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):  # rows with g_eff = 0
@@ -400,7 +399,7 @@ def schedule_targets(
         pending = w_hat[k + 1 :]
         eps1 = float(strong.eps_sq[k])  # zero-forced: strong user sees AWGN only
         lam1 = float(np.vdot(h_eff[k], h_eff[k]).real) / eps1
-        g_eff, reduce = candidate_reductions(H, eps, h_eff[k], eps1, bases[k], pending, P)
+        g_eff, reduce = candidate_reductions(H, eps, h_eff[k], lam1, bases[k], pending, P)
         reductions = [reduce(r, w1 + w2) for r, w1, w2 in zip(left, W1, W2)]
         oks, lam2s, thetas, sig_hats = zip(*reductions)
         counts = [len(lam2) for lam2 in lam2s]

@@ -121,7 +121,7 @@ def _scalar_schedule(pool, Nt, P_T, Gamma, cfg):
             np.array([u.h for u in remaining]),
             np.array([u.eps_sq for u in remaining]),
             h_eff[k],
-            eps1,
+            lam1,
             bases[k],
             pending,
             P,
