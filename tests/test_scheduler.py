@@ -23,8 +23,9 @@ from misonoma.scheduler import (
     sus_select,
     zf_select,
 )
-from misonoma.simulation import SimConfig, generate_channels
+from misonoma.simulation import SimConfig, generate_channels, run_trial
 from misonoma.two_user_core import (
+    CaseTag,
     InfeasibleTargetError,
     TwoUserChannel,
     derive_params,
@@ -719,6 +720,48 @@ class TestSchedule:
         np.testing.assert_array_equal(plan.w1_tilde, math.sqrt(P) * (h / np.linalg.norm(h)))
         lam1 = float(np.vdot(h, h).real) / 2.0
         assert out.realized_rates[0] == (pytest.approx(math.log2(1.0 + P * lam1), rel=1e-12), 0.0)
+
+    @pytest.mark.parametrize("nt, k_users, pt_db, gamma", [(2, 40, 10.0, 1.0), (4, 200, 20.0, 1.5)])
+    def test_full_rank_clusters_are_ranked_by_lambda2(self, nt, k_users, pt_db, gamma):
+        # With Kc = Nt each cluster's ZF complement is one direction, so
+        # both beams lie on it, theta = 1 and the design is power control:
+        # p1 = Gamma and gamma2 = (P - Gamma)*lambda2/(1 + Gamma*lambda2),
+        # increasing in lambda2.  The winner is then the ordering-valid
+        # candidate with the largest scored lambda2, ties to the lowest uid.
+        # The theta the code computes is 1 only up to round-off, so p1 and
+        # the realized SINR match the closed form to 1e-12, not bitwise.
+        cfg = SimConfig(nt=nt, k_users=k_users, pt_db=pt_db, gamma=gamma, seed=11)
+        sus = SUSConfig(target_count=nt, delta=cfg.delta)
+        clusters = 0
+        for t in range(200):
+            _, out, pool = run_trial(cfg, t)
+            if out.Kc < nt:
+                continue
+            strong, weak = zf_select(pool.strong_rows, sus), pool.weak_rows
+            w_hat = [h / np.linalg.norm(h) for h in strong.H_zf]
+            left = np.arange(len(weak.uid))  # the unpaired weak rows, as scored
+            for k, (plan, (_, rate2)) in enumerate(zip(out.clusters, out.realized_rates)):
+                h1 = strong.H_zf[k]
+                lam1 = float(np.vdot(h1, h1).real) / float(strong.eps_sq[k])
+                _, reduce = candidate_reductions(
+                    weak.H, weak.eps_sq, h1, lam1, strong.bases[k], w_hat[k + 1 :], out.P
+                )
+                earlier = out.clusters[:k]
+                designed = [p.w1_tilde for p in earlier] + [p.w2_tilde for p in earlier]
+                ok, lam2, _, _ = reduce(left, designed)
+                if plan.weak_id is None:
+                    continue
+                valid = weak.uid[left[ok]]
+                assert plan.weak_id == valid[lam2 == lam2.max()].min()
+                lam2_w = lam2.max()
+                assert plan.solution.case_tag is CaseTag.CASE3
+                assert plan.solution.p1 == pytest.approx(gamma, rel=1e-12)
+                sinr2 = math.expm1(rate2 * math.log(2.0))
+                closed = (out.P - gamma) * lam2_w / (1.0 + gamma * lam2_w)
+                assert sinr2 == pytest.approx(closed, rel=1e-12)
+                left = left[weak.uid[left] != plan.weak_id]
+                clusters += 1
+        assert clusters >= 200  # 332 at nt = 2, 236 at nt = 4
 
     def test_no_strong_user_selected_rejected(self):
         strong = [User(0, [0.0, 0.0], 1.0), User(1, [0.0, 0.0], 1.0)]
