@@ -2,7 +2,6 @@ import csv
 import json
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,39 +386,3 @@ def test_floats_carry_full_precision(tmp_path):
             if not math.isnan(float(cell)):
                 mantissa = cell.split("e")[0]
                 assert len(mantissa.replace("-", "").replace(".", "")) >= 12
-
-
-RESULTS = Path(__file__).resolve().parent.parent / "results"
-
-
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        # the commands of scripts/rate_region.py and scripts/angle_study.py
-        (
-            "rate_region.csv",
-            ["pareto-boundary", "--lambda1", "20", "--lambda2", "3",
-             "--theta", "0.5", "--p-cluster", "2", "--points", "101"],
-        ),
-    ]
-    + [
-        (
-            f"angle_sweep_lam2_{lam2}.csv",
-            ["angle-sweep", "--lambda1", "10", "--lambda2", lam2,
-             "--gamma", "2", "--p-cluster", "10", "--points", "401"],
-        )
-        for lam2 in ("10", "1", "0.1")
-    ],
-)
-def test_committed_two_user_results_reproduced(tmp_path, name, argv):
-    """The committed two-user CSVs in results/ come out again, value by
-    value within 1e-9 relative (values, not bytes: the last digits move
-    when the numerical method does)."""
-    out = tmp_path / name
-    assert main(argv + ["--out", str(out)]) == 0
-    header, rows = _read_csv(str(out))
-    ref_header, ref_rows = _read_csv(str(RESULTS / name))
-    assert header == ref_header
-    np.testing.assert_allclose(
-        np.array(rows, dtype=float), np.array(ref_rows, dtype=float), rtol=1e-9, atol=0.0
-    )

@@ -1,24 +1,30 @@
-"""Committed reference outputs of the scheduler, regenerated through cli.main.
+"""Every committed output, regenerated through one registry.
 
-Each case below is one CLI run.  Its CSV (and, for schedule-sim, its
---dump-beams log) must match the file of the same name under
-tests/reference/: pairings (strong_id, weak_id), single-user flags and
-oracle-check's instance parameters exactly, every rate, SINR and beam to
-REL_TOL relative, and oracle-check's rel_err, itself a relative
-difference, to REL_TOL absolute.  The case tags of the schedule-sim runs
-are recorded while cli.main runs and must equal case_tags.json exactly.
+Each entry of CASES names a file under tests/reference/ (reference runs of
+the scheduler and the oracle) or results/ (the experiments) and its
+writer: cli.main arguments, or, for the K sweep behind
+results/sum_rate_vs_users_nt*.csv, which no CLI command writes, a function
+of the output path.  Every output (and, for schedule-sim, its --dump-beams
+log) must match the committed file of the same name: pairings (strong_id,
+weak_id), single-user flags, each CSV's first column and oracle-check's
+instance parameters exactly, every rate, SINR and beam to REL_TOL
+relative, and oracle-check's rel_err, itself a relative difference, to
+REL_TOL absolute.  The case tags of the schedule-sim runs are recorded
+while cli.main runs and must equal case_tags.json exactly.  Every CSV and
+beam log under either directory must have an entry.
 
-A reference file is rewritten only on purpose, with the largest move per
+A committed output is rewritten only on purpose, with the largest move per
 column reported next to the change:
 
     PYTHONPATH=src python3 tests/test_reference_outputs.py
 
-runs every case into a temporary directory, prints the largest move of
+runs every entry into a temporary directory, prints the largest move of
 each file's columns (beam keys, for a beam log) against the file it would
 replace, measured as the checks below measure them, and replaces the
-references only if no pairing, single-user flag or case tag changes (it
-writes nothing and exits 1 otherwise) and some file would fail its check
-(it writes nothing and exits 0 when every file passes).
+committed files of both directories only if no pairing, single-user flag
+or case tag changes (it writes nothing and exits 1 otherwise) and some
+file would fail its check (it writes nothing and exits 0 when every file
+passes).
 """
 
 from __future__ import annotations
@@ -31,50 +37,96 @@ import math
 import shutil
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from misonoma import cli
+from misonoma.simulation import RATE_FIELDS, SimConfig, run_monte_carlo
 
 REF_DIR = Path(__file__).resolve().parent / "reference"
+RESULTS_DIR = REF_DIR.parent.parent / "results"
+# files under REF_DIR that no entry writes: an input, and regenerate's tags
+UNWRITTEN = {"fallback_config.json", "case_tags.json"}
 REL_TOL = 1e-9
 # CSV columns compared as text: the instances oracle-check draws
 EXACT_COLUMNS = {"lambda1", "lambda2", "theta", "P", "Gamma"}
 
-# name -> CLI arguments (without --out); {ref} is the reference directory.
-# nt=2 and nt=4 draws include clusters with Kc < Nt; the K=4 runs with weak
-# users as strong as the strong ones (the config file) fall back to
-# single-user; the sweep's targets are 0 and P_T/Nt; oracle-check runs on
-# grids small enough to keep the case near 0.2 s.
+
+def sum_rate_vs_users(nt: int, gamma: float, path: Path) -> None:
+    """Mean rates of the scheduler and the ZF baseline per pool size K in
+    {20, 40, 80}: 200 trials at 10 dB, seed 1000 + K."""
+    rows = []
+    for k in (20, 40, 80):
+        cfg = SimConfig(nt=nt, k_users=k, pt_db=10.0, gamma=gamma, trials=200, seed=1000 + k)
+        means = run_monte_carlo(cfg)[1]
+        rows.append([k] + [means[key] for key in RATE_FIELDS])
+    cli.write_csv(str(path), ["k_users", *RATE_FIELDS], rows)
+
+
+# name -> (directory, writer): CLI arguments without --out ({ref} is
+# REF_DIR), or a function of the output path.  Under REF_DIR, nt=2 and nt=4
+# draws include clusters with Kc < Nt; the K=4 runs with weak users as
+# strong as the strong ones (the config file) fall back to single-user; the
+# sweep's targets are 0 and P_T/Nt; oracle-check runs on grids small enough
+# to keep the case near 0.2 s.  Under RESULTS_DIR: the two-user rate region
+# (fixed unit powers against power allocation), the weak user's SINR
+# against the channel angle at three asymmetry levels, the group rates
+# against the strong users' target and the sum rate against the pool size.
 CASES = {
-    "schedule_nt2_k40": [
+    "schedule_nt2_k40": (REF_DIR, [
         "schedule-sim", "--nt", "2", "--k", "40", "--pt-db", "10", "--gamma", "1",
         "--trials", "4", "--seed", "22", "--dump-beams",
-    ],
-    "schedule_nt4_k200": [
+    ]),
+    "schedule_nt4_k200": (REF_DIR, [
         "schedule-sim", "--nt", "4", "--k", "200", "--pt-db", "20", "--gamma", "1.5",
         "--trials", "3", "--seed", "25", "--dump-beams",
-    ],
-    "schedule_nt2_k4_fallback": [
+    ]),
+    "schedule_nt2_k4_fallback": (REF_DIR, [
         "schedule-sim", "--config", "{ref}/fallback_config.json", "--trials", "12",
         "--seed", "20", "--dump-beams",
-    ],
-    "gamma_sweep_nt2_k40": [
+    ]),
+    "gamma_sweep_nt2_k40": (REF_DIR, [
         "gamma-sweep", "--nt", "2", "--k", "40", "--pt-db", "10", "--trials", "3",
         "--seed", "22", "--gamma-min", "0", "--gamma-max", "5", "--gamma-points", "3",
-    ],
-    "oracle_check": [
+    ]),
+    "oracle_check": (REF_DIR, [
         "oracle-check", "--instances", "6", "--seed", "7", "--n-p1", "96", "--n-alpha2", "96",
-    ],
+    ]),
+    "rate_region": (RESULTS_DIR, [
+        "pareto-boundary", "--lambda1", "20", "--lambda2", "3", "--theta", "0.5",
+        "--p-cluster", "2", "--points", "101",
+    ]),
+    **{
+        f"angle_sweep_lam2_{lam2}": (RESULTS_DIR, [
+            "angle-sweep", "--lambda1", "10", "--lambda2", lam2, "--gamma", "2",
+            "--p-cluster", "10", "--points", "401",
+        ])
+        for lam2 in ("10", "1", "0.1")
+    },
+    "rate_balance_vs_target": (RESULTS_DIR, [
+        "gamma-sweep", "--nt", "4", "--k", "200", "--pt-db", "20", "--trials", "50",
+        "--seed", "2024", "--gamma-min", "0.5", "--gamma-max", "8", "--gamma-points", "8",
+    ]),
+    "sum_rate_vs_users_nt2": (RESULTS_DIR, partial(sum_rate_vs_users, 2, 2.0)),
+    "sum_rate_vs_users_nt4": (RESULTS_DIR, partial(sum_rate_vs_users, 4, 1.5)),
 }
 
 
-def run_case(name: str, out_dir: Path) -> dict[int, list[int | None]]:
-    """Run one case through cli.main, writing name.csv (and its beam log)
-    to out_dir; returns the case tags per trial (None for single-user)."""
-    argv = [a.format(ref=REF_DIR) for a in CASES[name]]
+def _dumps_beams(writer) -> bool:
+    return not callable(writer) and "--dump-beams" in writer
+
+
+def write_output(writer, path: Path) -> dict[int, list[int | None]]:
+    """Write one output to path, by writer(path) or by cli.main with
+    writer's arguments and --out path; returns the case tags per trial
+    (None for single-user) of a run with --dump-beams."""
+    if callable(writer):
+        writer(path)
+        return {}
+    argv = [a.format(ref=REF_DIR) for a in writer]
     tags: dict[int, list[int | None]] = {}
     original = cli.run_monte_carlo
 
@@ -86,10 +138,25 @@ def run_case(name: str, out_dir: Path) -> dict[int, list[int | None]]:
 
     cli.run_monte_carlo = recording
     try:
-        rc = cli.main(argv + ["--out", str(out_dir / f"{name}.csv")])
+        with contextlib.redirect_stdout(io.StringIO()):  # oracle-check's summary
+            rc = cli.main(argv + ["--out", str(path)])
     finally:
         cli.run_monte_carlo = original
-    assert rc == 0
+    assert rc == 0, argv
+    return tags
+
+
+def run_all(out_root: Path) -> dict[str, dict[str, list[int | None]]]:
+    """Write every entry under out_root, in a folder named as its
+    directory; returns the case tags of the runs with --dump-beams, keyed
+    as in case_tags.json."""
+    tags = {}
+    for name, (directory, writer) in CASES.items():
+        out_dir = out_root / directory.name
+        out_dir.mkdir(exist_ok=True)
+        case_tags = write_output(writer, out_dir / f"{name}.csv")
+        if _dumps_beams(writer):
+            tags[name] = {str(t): v for t, v in case_tags.items()}
     return tags
 
 
@@ -143,19 +210,26 @@ def _compare_beams(got: Path, want: Path) -> None:
 
 @pytest.fixture(scope="module")
 def regenerated(tmp_path_factory):
-    out_dir = tmp_path_factory.mktemp("reference")
-    tags = {name: run_case(name, out_dir) for name in CASES}
-    return out_dir, tags
+    out_root = tmp_path_factory.mktemp("outputs")
+    return out_root, run_all(out_root)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_reference(regenerated, name):
-    out_dir, tags = regenerated
-    _compare_csv(out_dir / f"{name}.csv", REF_DIR / f"{name}.csv")
-    if "--dump-beams" in CASES[name]:
-        _compare_beams(out_dir / f"{name}.csv.beams.jsonl", REF_DIR / f"{name}.csv.beams.jsonl")
-        want = json.loads((REF_DIR / "case_tags.json").read_text())[name]
-        assert {str(t): v for t, v in tags[name].items()} == want
+    out_root, tags = regenerated
+    directory, writer = CASES[name]
+    got, want = out_root / directory.name / f"{name}.csv", directory / f"{name}.csv"
+    _compare_csv(got, want)
+    if _dumps_beams(writer):
+        _compare_beams(Path(f"{got}.beams.jsonl"), Path(f"{want}.beams.jsonl"))
+        assert tags[name] == json.loads((REF_DIR / "case_tags.json").read_text())[name]
+
+
+def test_every_committed_output_has_an_entry(regenerated):
+    out_root, _ = regenerated
+    for directory in (REF_DIR, RESULTS_DIR):
+        committed = {p.name for p in directory.iterdir()} - UNWRITTEN
+        assert committed == {p.name for p in (out_root / directory.name).iterdir()}
 
 
 def test_references_cover_the_edge_cases():
@@ -234,43 +308,40 @@ def _passes(got: Path, want: Path) -> bool:
 
 
 def regenerate() -> int:
-    """Rewrite tests/reference/ from this checkout, reporting every move;
-    returns 1, writing nothing, if a pairing, a single-user flag or a case
-    tag would change, and 0, writing nothing, if every file and case tag
-    already passes its check."""
+    """Rewrite tests/reference/ and results/ from this checkout, reporting
+    every move; returns 1, writing nothing, if a pairing, a single-user flag
+    or a case tag would change, and 0, writing nothing, if every file and
+    case tag already passes its check."""
     problems: list[str] = []
     stale = False
     tag_file = REF_DIR / "case_tags.json"
     old_tags = json.loads(tag_file.read_text()) if tag_file.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
-        out_dir = Path(tmp)
-        tags = {}
-        for name in CASES:
-            with contextlib.redirect_stdout(io.StringIO()):  # oracle-check's summary
-                case_tags = {str(t): v for t, v in run_case(name, out_dir).items()}
-            if "--dump-beams" in CASES[name]:
-                tags[name] = case_tags
-                if name in old_tags and old_tags[name] != case_tags:
-                    problems.append(f"{name}: case tags change")
-        for path in sorted(out_dir.iterdir()):
-            ref = REF_DIR / path.name
+        out_root = Path(tmp)
+        tags = run_all(out_root)
+        problems += [f"{name}: case tags change" for name in tags
+                     if name in old_tags and old_tags[name] != tags[name]]
+        written = [(path, directory / path.name) for directory in (REF_DIR, RESULTS_DIR)
+                   for path in sorted((out_root / directory.name).iterdir())]
+        for path, ref in written:
+            label = f"{ref.parent.name}/{ref.name}"
             if not ref.exists():
-                print(f"{path.name}: new file")
+                print(f"{label}: new file")
                 stale = True
                 continue
             moves = (_beam_moves if path.suffix == ".jsonl" else _csv_moves)(path, ref, problems)
             for key, move in moves.items():
-                print(f"{path.name:40} {key:24} {move:.2g}")
+                print(f"{label:52} {key:24} {move:.2g}")
             stale = stale or not _passes(path, ref)
         if problems:
             print("\n".join(problems + ["nothing written"]), file=sys.stderr)
             return 1
         if not stale and tags == old_tags:
-            print("every reference passes its check; nothing written")
+            print("every committed output passes its check; nothing written")
             return 0
-        REF_DIR.mkdir(exist_ok=True)
-        for path in out_dir.iterdir():
-            shutil.copyfile(path, REF_DIR / path.name)
+        for path, ref in written:
+            ref.parent.mkdir(exist_ok=True)
+            shutil.copyfile(path, ref)
     tag_file.write_text(json.dumps(tags, indent=1) + "\n")
     return 0
 
