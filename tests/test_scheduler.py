@@ -23,7 +23,7 @@ from misonoma.scheduler import (
     sus_select,
     zf_select,
 )
-from misonoma.simulation import SimConfig, generate_channels, run_trial
+from misonoma.simulation import SimConfig, generate_channels
 from misonoma.two_user_core import (
     CaseTag,
     InfeasibleTargetError,
@@ -734,10 +734,11 @@ class TestSchedule:
         sus = SUSConfig(target_count=nt, delta=cfg.delta)
         clusters = 0
         for t in range(200):
-            _, out, pool = run_trial(cfg, t)
-            if out.Kc < nt:
-                continue
+            pool = generate_channels(cfg, np.random.default_rng(cfg.seed + t))  # run_trial's draw
             strong, weak = zf_select(pool.strong_rows, sus), pool.weak_rows
+            if len(strong) < nt:
+                continue
+            out = schedule(pool, strong, cfg.p_total, gamma)
             w_hat = [h / np.linalg.norm(h) for h in strong.H_zf]
             left = np.arange(len(weak.uid))  # the unpaired weak rows, as scored
             for k, (plan, (_, rate2)) in enumerate(zip(out.clusters, out.realized_rates)):
