@@ -172,7 +172,7 @@ def _compare_csv(got: Path, want: Path) -> None:
     header = g_rows[0]
     assert header == w_rows[0] and len(g_rows) == len(w_rows)
     for g_row, w_row in zip(g_rows[1:], w_rows[1:]):
-        assert g_row[0] == w_row[0]  # trial id, "mean", Gamma or instance
+        assert g_row[0] == w_row[0]  # trial id, "mean", Gamma, instance, R1, theta or K
         for col, a, b in zip(header[1:], g_row[1:], w_row[1:]):
             if col in EXACT_COLUMNS:
                 assert a == b, (col, g_row, w_row)
@@ -319,10 +319,14 @@ def regenerate() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out_root = Path(tmp)
         tags = run_all(out_root)
-        problems += [f"{name}: case tags change" for name in tags
-                     if name in old_tags and old_tags[name] != tags[name]]
-        written = [(path, directory / path.name) for directory in (REF_DIR, RESULTS_DIR)
-                   for path in sorted((out_root / directory.name).iterdir())]
+        for name in tags:
+            if name in old_tags and old_tags[name] != tags[name]:
+                problems.append(f"{name}: case tags change")
+        written = [
+            (path, directory / path.name)
+            for directory in (REF_DIR, RESULTS_DIR)
+            for path in sorted((out_root / directory.name).iterdir())
+        ]
         for path, ref in written:
             label = f"{ref.parent.name}/{ref.name}"
             if not ref.exists():

@@ -742,6 +742,8 @@ class TestSchedule:
             w_hat = [h / np.linalg.norm(h) for h in strong.H_zf]
             left = np.arange(len(weak.uid))  # the unpaired weak rows, as scored
             for k, (plan, (_, rate2)) in enumerate(zip(out.clusters, out.realized_rates)):
+                if plan.weak_id is None:
+                    continue
                 h1 = strong.H_zf[k]
                 lam1 = float(np.vdot(h1, h1).real) / float(strong.eps_sq[k])
                 _, reduce = candidate_reductions(
@@ -750,15 +752,12 @@ class TestSchedule:
                 earlier = out.clusters[:k]
                 designed = [p.w1_tilde for p in earlier] + [p.w2_tilde for p in earlier]
                 ok, lam2, _, _ = reduce(left, designed)
-                if plan.weak_id is None:
-                    continue
-                valid = weak.uid[left[ok]]
-                assert plan.weak_id == valid[lam2 == lam2.max()].min()
-                lam2_w = lam2.max()
+                best = lam2.max()
+                assert plan.weak_id == weak.uid[left[ok]][lam2 == best].min()
                 assert plan.solution.case_tag is CaseTag.CASE3
                 assert plan.solution.p1 == pytest.approx(gamma, rel=1e-12)
                 sinr2 = math.expm1(rate2 * math.log(2.0))
-                closed = (out.P - gamma) * lam2_w / (1.0 + gamma * lam2_w)
+                closed = (out.P - gamma) * best / (1.0 + gamma * best)
                 assert sinr2 == pytest.approx(closed, rel=1e-12)
                 left = left[weak.uid[left] != plan.weak_id]
                 clusters += 1
